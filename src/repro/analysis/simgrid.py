@@ -96,7 +96,6 @@ def sim_point(
     buffer_size: Optional[int] = None,
     faults: FaultsParam = None,
     engine: str = "fast",
-    kernel: str = "auto",
 ) -> Dict[str, Any]:
     """One cycle-accurate simulation point as a plain-dict cell result.
 
@@ -104,11 +103,6 @@ def sim_point(
     ``faults`` is a list of ``[[u, v], down, up]`` failure windows
     (``up=None`` for permanent).  A stall comes back as data; the
     cycle-guard ``RuntimeError`` propagates.
-
-    ``kernel`` picks the per-cycle stepping implementation for serial,
-    non-batchable cells (:mod:`repro.simulator.kernels`); results are
-    bit-identical for every choice, so cached cells and batched grouping
-    are unaffected.
     """
     plan = get_plan(q, scheme)
     lane = _lane(plan, m, link_capacity, buffer_size, faults)
@@ -121,7 +115,6 @@ def sim_point(
             lane.link_capacity,
             lane.buffer_size,
             faults=lane.faults,
-            kernel=kernel,
         ).run()
     except SimulationStalled as e:
         return _stalled_dict(e.cycle, e.pending)

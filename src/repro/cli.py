@@ -57,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("reference", "fast", "leap", "batched"),
                    help="cycle engine (leap: O(events) wall clock, "
                         "cycle-exact; default)")
-    s.add_argument("--kernel", default="auto",
-                   choices=("auto", "compiled", "python"),
-                   help="per-cycle stepping implementation (bit-identical; "
-                        "'compiled' demands the numba extra)")
     s.add_argument("--buffer", type=int, default=None, metavar="SLOTS",
                    help="per-flow credit buffer slots (default: unbounded)")
     s.add_argument("--capacity", type=int, default=1,
@@ -80,10 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-m", type=int, default=600, help="total flits")
     s.add_argument("--engine", default="leap",
                    choices=("reference", "fast", "leap"))
-    s.add_argument("--kernel", default="auto",
-                   choices=("auto", "compiled", "python"),
-                   help="per-cycle stepping implementation (bit-identical; "
-                        "'compiled' demands the numba extra)")
     s.add_argument("--policy", default="repaired",
                    choices=("repaired", "degraded", "auto"),
                    help="static recovery applied on stall")
@@ -352,7 +344,6 @@ def _cmd_simulate(args) -> int:
         link_capacity=args.capacity,
         buffer_size=args.buffer,
         engine=args.engine,
-        kernel=args.kernel,
     )
     fluid = fluid_simulate(plan.topology, plan.trees, args.m, hop_latency=1)
     print(f"scheme={args.scheme} q={args.q} m={args.m} engine={args.engine}")
@@ -379,7 +370,6 @@ def _cmd_faults(args) -> int:
         engine=args.engine,
         link_capacity=args.capacity,
         buffer_size=args.buffer,
-        kernel=args.kernel,
     )
     window = f"cycle {args.down}" + (f"..{args.up}" if args.up else " (permanent)")
     print(f"scheme={args.scheme} q={args.q} m={args.m} engine={args.engine} "

@@ -6,15 +6,15 @@ Three fidelities, all exercising the Section 4.3/4.4 dataflow:
   vectors (proves the multi-tree schedule computes the right answer);
 - :mod:`repro.simulator.cycle` — flit-level pipelined simulation with
   per-channel fair arbitration (validates the Algorithm 1 bandwidth model
-  and the depth-proportional latency); :mod:`repro.simulator.fastcycle`
-  is its NumPy-vectorized cycle-exact twin, selectable via
-  ``simulate_allreduce(..., engine="fast")``, and
+  and the depth-proportional latency); it is the pure-Python oracle
+  (``engine="reference"``) and shares no stepping code with the others.
+  :mod:`repro.simulator.fastcycle` is its NumPy-vectorized cycle-exact
+  twin (``engine="fast"``, the default of ``simulate_allreduce``),
   :mod:`repro.simulator.leap` the cycle-leaping engine
   (``engine="leap"``) whose ``run()`` is O(depth + #events) in wall
-  clock, independent of message size, while staying cycle-exact
-  (:mod:`repro.simulator.kernels` supplies optional fused/compiled
-  per-cycle stepping for the serial engines, selected by the engines'
-  ``kernel=`` knob; bit-identical on every observable);
+  clock, independent of message size, while staying cycle-exact, and
+  :mod:`repro.simulator.batched` advances many independent lanes in one
+  tensor (``engine="batched"``);
 - :mod:`repro.simulator.fluid` — closed-form max-min rate model for large
   configurations.
 
@@ -43,16 +43,10 @@ from repro.simulator.cycle import (
 )
 from repro.simulator.batched import BatchedCycleSimulator, LaneOutcome, LaneSpec
 from repro.simulator.engine import ENGINES, CycleEngine, make_engine
-from repro.simulator.fastcycle import FastCycleSimulator
+from repro.simulator.fastcycle import KERNEL_IMPL, FastCycleSimulator
 from repro.simulator.faultsched import FaultEvent, FaultSchedule
 from repro.simulator.fluid import FluidResult, fluid_simulate
 from repro.simulator.functional import REDUCE_OPS, execute_plan, reduce_on_tree, verify_plan
-from repro.simulator.kernels import (
-    HAVE_NUMBA,
-    KERNEL_CHOICES,
-    KERNEL_IMPL,
-    resolve_kernel,
-)
 from repro.simulator.leap import LeapCycleSimulator
 from repro.simulator.network import Network
 from repro.simulator.packet import PacketLevelSimulator, PacketStats, packet_allreduce
@@ -116,10 +110,7 @@ __all__ = [
     "CycleEngine",
     "ENGINES",
     "make_engine",
-    "HAVE_NUMBA",
-    "KERNEL_CHOICES",
     "KERNEL_IMPL",
-    "resolve_kernel",
     "FastCycleSimulator",
     "LeapCycleSimulator",
     "BatchedCycleSimulator",

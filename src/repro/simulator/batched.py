@@ -59,10 +59,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator.cycle import CycleStats, SimulationStalled, default_max_cycles
+from repro.simulator.cycle import (
+    CycleStats,
+    SimulationStalled,
+    check_flit_counts,
+    default_max_cycles,
+)
 from repro.simulator.fastcycle import _AGG, _BCD, _INF, FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
-from repro.simulator.kernels import resolve_kernel
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
@@ -91,7 +95,7 @@ class LaneSpec:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "flits_per_tree", tuple(int(x) for x in self.flits_per_tree)
+            self, "flits_per_tree", tuple(check_flit_counts(self.flits_per_tree))
         )
 
 
@@ -158,7 +162,6 @@ class BatchedCycleSimulator:
         faults: Optional[FaultSchedule] = None,
         telemetry=None,
         lanes: Optional[Sequence[LaneSpec]] = None,
-        kernel: str = "auto",
     ):
         if telemetry is not None:
             raise ValueError(
@@ -167,11 +170,6 @@ class BatchedCycleSimulator:
                 "no batch equivalent; use engine='fast' (or 'reference'/"
                 "'leap') for telemetry runs"
             )
-        # the batch tensor step amortizes dispatch across lanes already;
-        # accept (and validate) the kernel knob for engine-zoo uniformity,
-        # but stepping stays on the batched tensor path
-        self.kernel = kernel
-        self.kernel_impl = resolve_kernel(kernel, telemetry)
         if lanes is not None and flits_per_tree is not None:
             raise ValueError("pass flits_per_tree (one lane) or lanes, not both")
         if lanes is None:
@@ -179,7 +177,7 @@ class BatchedCycleSimulator:
                 raise ValueError("pass flits_per_tree (one lane) or lanes")
             lanes = [
                 LaneSpec(
-                    tuple(int(x) for x in flits_per_tree),
+                    tuple(flits_per_tree),
                     link_capacity,
                     buffer_size,
                     faults if faults else None,
@@ -192,8 +190,7 @@ class BatchedCycleSimulator:
         # the zero-flit template builds (and validates) every
         # lane-independent index array exactly as the fast engine would:
         # flow order, flat state indices, reduceat groups, channel slots
-        # (kernel="python": the template never steps, skip the prep)
-        tmpl = FastCycleSimulator(g, trees, [0] * len(trees), kernel="python")
+        tmpl = FastCycleSimulator(g, trees, [0] * len(trees))
         self._tmpl = tmpl
         self.g = g
         self.n = g.n
@@ -214,8 +211,6 @@ class BatchedCycleSimulator:
         for lane in self.lanes:
             if len(lane.flits_per_tree) != T:
                 raise ValueError("flits_per_tree must align with trees")
-            if any(x < 0 for x in lane.flits_per_tree):
-                raise ValueError("flit counts must be non-negative")
             if any(x >= m_cap for x in lane.flits_per_tree):
                 raise ValueError(
                     f"batched engine int32 headroom: per-tree flit counts "

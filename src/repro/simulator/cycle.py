@@ -38,16 +38,17 @@ The simulator is deliberately mechanism-faithful rather than fast; it is
 used at small radix to *validate* the analytic model (Algorithm 1): the
 measured steady-state aggregate bandwidth of each embedding must match the
 predicted ``sum B_i``, and measured completion must track
-``2 * depth + m_i / B_i``.
+``2 * depth + m_i / B_i``.  It shares no stepping code with the vectorized
+engines, which makes it the independent oracle of the differential suites.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.simulator.faultsched import FaultSchedule
-from repro.simulator.kernels import resolve_kernel as _resolve_kernel
 from repro.topology.graph import Graph, canonical_edge
 from repro.trees.tree import SpanningTree
 
@@ -58,6 +59,7 @@ __all__ = [
     "SimulationStalled",
     "simulate_allreduce",
     "default_max_cycles",
+    "check_flit_counts",
 ]
 
 REDUCE = "reduce"
@@ -89,6 +91,31 @@ class SimulationStalled(RuntimeError):
             f"simulation stalled; pending trees {list(self.pending)}"
             f" (cycle {self.cycle})"
         )
+
+
+def check_flit_counts(
+    flits_per_tree: Sequence[int], num_trees: Optional[int] = None
+) -> List[int]:
+    """Validate per-tree flit counts; the one check every cycle engine
+    (and :class:`~repro.simulator.batched.LaneSpec`) applies.
+
+    Counts must be integers (Python or NumPy) — ``bool`` and ``float``
+    raise ``TypeError`` instead of being truncated — and non-negative
+    (``ValueError``).  With ``num_trees`` the sequence must also align
+    with the trees.  Returns the counts as plain ints.
+    """
+    counts = list(flits_per_tree)
+    if num_trees is not None and len(counts) != num_trees:
+        raise ValueError("flits_per_tree must align with trees")
+    for x in counts:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise TypeError(
+                f"flit counts must be integers, got {type(x).__name__} {x!r}"
+            )
+    out = [int(x) for x in counts]
+    if any(x < 0 for x in out):
+        raise ValueError("flit counts must be non-negative")
+    return out
 
 
 def default_max_cycles(
@@ -190,10 +217,8 @@ class CycleSimulator:
         buffer_size: Optional[int] = None,
         faults: Optional[FaultSchedule] = None,
         telemetry=None,
-        kernel: str = "auto",
     ):
-        if len(trees) != len(flits_per_tree):
-            raise ValueError("flits_per_tree must align with trees")
+        m = check_flit_counts(flits_per_tree, len(trees))
         if link_capacity < 1:
             raise ValueError("link capacity must be >= 1 flit/cycle")
         if buffer_size is not None and buffer_size < 1:
@@ -204,9 +229,7 @@ class CycleSimulator:
             faults.validate_against(g)
         self.g = g
         self.trees = list(trees)
-        self.m = [int(x) for x in flits_per_tree]
-        if any(x < 0 for x in self.m):
-            raise ValueError("flit counts must be non-negative")
+        self.m = m
         self.capacity = link_capacity
         self.buffer_size = buffer_size
         self.faults = faults if faults else None
@@ -275,30 +298,6 @@ class CycleSimulator:
         self.channel_flits: Dict[Tuple[int, int], int] = {
             ch: 0 for ch in self.channel_flows
         }
-
-        # per-cycle kernel (repro.simulator.kernels): anything but the
-        # Python path delegates stepping to an internal fast engine built
-        # from the same plan — bit-identical observables (differential-
-        # tested), so the reference engine's protocol surface gains the
-        # kernel speedup while this class keeps the mechanism-faithful
-        # loop as the kernel="python" path
-        self.kernel = kernel
-        self.kernel_impl = _resolve_kernel(kernel, telemetry)
-        if self.kernel_impl == "python":
-            self._kern = None
-        else:
-            from repro.simulator.fastcycle import FastCycleSimulator
-
-            self._kern = FastCycleSimulator(
-                g,
-                trees,
-                flits_per_tree,
-                link_capacity,
-                buffer_size,
-                faults,
-                telemetry=None,
-                kernel=kernel,
-            )
 
     # ------------------------------------------------------------ dynamics
 
@@ -379,13 +378,9 @@ class CycleSimulator:
 
     def tree_done(self, i: int) -> bool:
         """Tree ``i`` completed, counting only flits that have landed."""
-        if self._kern is not None:
-            return self._kern.tree_done(i)
         return self._tree_done(i)
 
     def done(self) -> bool:
-        if self._kern is not None:
-            return self._kern.done()
         return all(self._tree_done(i) for i in range(len(self.trees)))
 
     def channels(self) -> List[Tuple[int, int]]:
@@ -394,22 +389,16 @@ class CycleSimulator:
 
     def channel_flit_counts(self) -> List[int]:
         """Cumulative flits moved per channel, aligned with :meth:`channels`."""
-        if self._kern is not None:
-            return self._kern.channel_flit_counts()
         return [self.channel_flits[ch] for ch in self.channel_flows]
 
     def has_in_flight(self) -> bool:
         """Any flits granted last cycle but not yet landed?"""
-        if self._kern is not None:
-            return self._kern.has_in_flight()
         return bool(self._landing)
 
     def delivered_floor(self) -> List[int]:
         """Per-tree count of flits fully delivered to *every* node (landed
         broadcast floor) — the prefix of each sub-vector that is complete
         and need not be redone after a failure."""
-        if self._kern is not None:
-            return self._kern.delivered_floor()
         out = []
         for ti, t in enumerate(self.trees):
             if not t.parent:
@@ -422,8 +411,6 @@ class CycleSimulator:
     def reduced_at_root(self) -> List[int]:
         """Per-tree count of flits fully aggregated at the root; the gap to
         :meth:`delivered_floor` is pipeline work a recovery discards."""
-        if self._kern is not None:
-            return self._kern.reduced_at_root()
         return [
             min(self._aggregated(ti, t.root), self.m[ti])
             for ti, t in enumerate(self.trees)
@@ -434,8 +421,6 @@ class CycleSimulator:
         router (landed or in flight) minus flits its consumer stage has
         drained — the occupancy a credit buffer would hold. Identical
         across engines at every cycle (telemetry-differential-tested)."""
-        if self._kern is not None:
-            return self._kern.queue_occupancy()
         out = [0] * self.n
         for fl in self.flows:
             out[fl.dst] += fl.sent - self._consumed_now(fl)
@@ -443,8 +428,6 @@ class CycleSimulator:
 
     def phase_flit_totals(self) -> Tuple[List[int], List[int]]:
         """Cumulative (reduce, broadcast) flit-hops per tree."""
-        if self._kern is not None:
-            return self._kern.phase_flit_totals()
         red = [0] * len(self.trees)
         bc = [0] * len(self.trees)
         for fl in self.flows:
@@ -456,11 +439,6 @@ class CycleSimulator:
 
     def step(self) -> int:
         """Advance one cycle; returns the number of flits transferred."""
-        if self._kern is not None:
-            moved = self._kern.step()
-            self.cycle = self._kern.cycle
-            self.flits_moved = self._kern.flits_moved
-            return moved
         return self.finish_cycle(self.begin_cycle())
 
     # ------------------------------------------------- two-phase stepping
@@ -476,13 +454,8 @@ class CycleSimulator:
         This is the reference half of the two-phase stepping API the
         multi-tenant fabric (:mod:`repro.tenancy.fabric`) drives; see
         :meth:`FastCycleSimulator.begin_cycle`.  ``step()`` is exactly
-        ``finish_cycle(begin_cycle())``.  Requires ``kernel="python"``.
+        ``finish_cycle(begin_cycle())``.
         """
-        if self._kern is not None:
-            raise RuntimeError(
-                "two-phase stepping requires kernel='python' "
-                "(delegated kernels cannot pause mid-cycle)"
-            )
         self.cycle += 1
         dead = (
             self.faults.down_edges_at(self.cycle)
@@ -577,14 +550,6 @@ class CycleSimulator:
     def run(self, max_cycles: Optional[int] = None) -> CycleStats:
         """Run to completion of all trees; raises :class:`SimulationStalled`
         on stall and ``RuntimeError`` when ``max_cycles`` is exceeded."""
-        if self._kern is not None:
-            try:
-                return self._kern.run(max_cycles)
-            finally:
-                # keep this facade's public counters observable after the
-                # delegated run, including on stall/guard exits
-                self.cycle = self._kern.cycle
-                self.flits_moved = self._kern.flits_moved
         if max_cycles is None:
             max_cycles = default_max_cycles(
                 self.trees, self.m, self.capacity, self.buffer_size, self.faults
@@ -644,20 +609,22 @@ def simulate_allreduce(
     link_capacity: int = 1,
     max_cycles: Optional[int] = None,
     buffer_size: Optional[int] = None,
-    engine: str = "reference",
+    engine: str = "fast",
     faults: Optional[FaultSchedule] = None,
     telemetry=None,
-    kernel: str = "auto",
 ) -> CycleStats:
     """One-shot cycle simulation with a selectable engine.
 
-    ``engine="reference"`` runs the mechanism-faithful per-flit
-    :class:`CycleSimulator`; ``engine="fast"`` runs the NumPy-vectorized
+    ``engine="fast"`` (the default) runs the NumPy-vectorized
     :class:`~repro.simulator.fastcycle.FastCycleSimulator`;
-    ``engine="leap"`` runs the cycle-leaping
-    :class:`~repro.simulator.leap.LeapCycleSimulator` (O(depth + #events)
-    wall clock, message-size independent).  All three are cycle-exact
-    equivalents, so the choice only affects wall-clock time.
+    ``engine="reference"`` runs the mechanism-faithful pure-Python
+    :class:`CycleSimulator`, the independent oracle the differential
+    suites check every other engine against; ``engine="leap"`` runs the
+    cycle-leaping :class:`~repro.simulator.leap.LeapCycleSimulator`
+    (O(depth + #events) wall clock, message-size independent);
+    ``engine="batched"`` runs a single-lane
+    :class:`~repro.simulator.batched.BatchedCycleSimulator`.  All are
+    cycle-exact equivalents, so the choice only affects wall-clock time.
 
     ``faults`` injects a dynamic link-failure schedule, honored
     identically by every engine; a run severed for good raises
@@ -668,14 +635,6 @@ def simulate_allreduce(
     across engines) and finalizes the stream — including on a stall, so
     a severed run still yields a complete JSONL log before the exception
     propagates.
-
-    ``kernel`` selects the per-cycle stepping implementation
-    (:mod:`repro.simulator.kernels`): ``"auto"`` (default) takes the best
-    available fused kernel — numba when installed, the NumPy fallback
-    otherwise — except for telemetry runs, which always take the Python
-    path; ``"compiled"`` demands numba; ``"python"`` forces the original
-    per-stage step.  All paths are bit-identical (differential-tested),
-    so the choice only affects wall-clock time.
     """
     from repro.simulator.engine import make_engine
 
@@ -688,7 +647,6 @@ def simulate_allreduce(
         buffer_size,
         faults,
         telemetry=telemetry,
-        kernel=kernel,
     )
     try:
         stats = sim.run(max_cycles)

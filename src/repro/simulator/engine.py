@@ -1,18 +1,21 @@
 """Shared cycle-engine protocol and engine selection.
 
-Three interchangeable implementations of the flit-level pipelined
-Allreduce simulation exist:
+Four interchangeable implementations of the flit-level pipelined
+Allreduce simulation exist, each with exactly one stepping path:
 
 - ``"reference"`` — :class:`repro.simulator.cycle.CycleSimulator`, the
   mechanism-faithful per-flit implementation (per-channel Python round
-  robin; slow, easy to audit);
+  robin; slow, easy to audit).  It shares no stepping code with the
+  other engines, so it is the independent oracle the differential
+  suites check them against;
 - ``"fast"`` — :class:`repro.simulator.fastcycle.FastCycleSimulator`, a
   NumPy-vectorized engine that advances all channels per cycle with array
-  operations;
+  operations (the default of ``simulate_allreduce``/``trace_allreduce``);
 - ``"leap"`` — :class:`repro.simulator.leap.LeapCycleSimulator`, the
   cycle-leaping engine: detects the steady-state period of the pipeline,
-  verifies it exactly, and jumps whole multiples of it in closed form, so
-  ``run()`` wall-clock is O(depth + #events) instead of O(cycles);
+  confirms it exactly from ring-buffered snapshots, and jumps whole
+  multiples of it in closed form, so ``run()`` wall-clock is
+  O(depth + #events) instead of O(cycles);
 - ``"batched"`` — :class:`repro.simulator.batched.BatchedCycleSimulator`,
   the batch engine: B independent runs over a shared topology/plan in one
   ``(B, 4, T, n)`` state tensor, each lane bit-identical to ``"fast"``.
@@ -130,23 +133,12 @@ def make_engine(
     buffer_size: Optional[int] = None,
     faults: Optional[FaultSchedule] = None,
     telemetry=None,
-    kernel: str = "auto",
 ) -> "CycleEngine":
     """Instantiate the named cycle engine (``"reference"``, ``"fast"``,
     ``"leap"`` or ``"batched"``), optionally bound to a dynamic fault
     schedule and/or a :class:`~repro.telemetry.Collector` (the batched
-    engine rejects telemetry).
-
-    ``kernel`` picks the per-cycle stepping implementation
-    (:mod:`repro.simulator.kernels`): ``"auto"`` (default) fuses the
-    serial hot path with the best available kernel — numba when the
-    ``compiled`` extra is installed, the NumPy fallback otherwise — and
-    transparently routes telemetry runs through the Python path;
-    ``"compiled"`` demands numba (``RuntimeError`` when absent);
-    ``"python"`` forces the original per-stage step.  Every path is
-    bit-identical (kernel-axis differential tests), so the knob only
-    affects wall-clock time.  The batched engine advances all lanes
-    tensor-wide already and accepts the knob for uniformity only."""
+    engine rejects telemetry).  Non-integral flit counts raise
+    ``TypeError`` and negative ones ``ValueError`` on every engine."""
     try:
         cls = ENGINES[engine]
     except KeyError:
@@ -161,5 +153,4 @@ def make_engine(
         buffer_size,
         faults=faults,
         telemetry=telemetry,
-        kernel=kernel,
     )

@@ -16,18 +16,28 @@ cycle with array operations and produces bit-identical results:
 - round-robin arbitration is replaced by its closed form.  For
   ``link_capacity == 1`` (the common case) the winner of each channel is
   the backlogged flow with the smallest cyclic offset from the rotating
-  pointer — one segmented min over packed ``(offset, flow)`` keys decides
-  every channel at once.  For larger capacities, ``T`` complete
-  round-robin passes hand flow ``i`` exactly ``min(b_i, T)`` flits and the
-  remaining ``R`` flits go to the first ``R`` flows with ``b_i > T`` in
-  cyclic order (water-filling), computed with vectorized offsets.  In both
-  paths the pointer advances to one past the last grant, exactly like the
+  pointer.  The offset is *unwrapped* instead of reduced:
+  ``slot + k*(slot < rr)`` orders a channel's slots exactly like
+  ``(slot - rr) % k``, so packed ``(offset, flow)`` keys need no
+  per-cycle modulo, and one scatter into a transposed padded
+  ``(K, C)`` buffer plus K row-minima decides every channel at once.
+  For larger capacities, ``T`` complete round-robin passes hand flow
+  ``i`` exactly ``min(b_i, T)`` flits and the remaining ``R`` flits go to
+  the first ``R`` flows with ``b_i > T`` in cyclic order
+  (water-filling), computed with vectorized offsets.  In both paths the
+  pointer advances to one past the last grant, exactly like the
   reference loop.
+
+Every cycle runs as :meth:`FastCycleSimulator.begin_cycle` (land, then
+budgets) followed by :meth:`FastCycleSimulator.finish_cycle`
+(arbitration); plain stepping, telemetry runs, the leap engine's stepped
+cycles and the multi-tenant fabric's two-phase arbitration all run this
+one path.
 
 Cycle-exactness (same per-channel per-cycle flit counts, same completion
 cycles, same round-robin pointer trajectory, same :class:`CycleStats`) is
-enforced by ``tests/test_fastcycle_equivalence.py``; the speedup is
-recorded by ``benchmarks/test_bench_fastcycle.py``.
+enforced by ``tests/test_fastcycle_equivalence.py``; the speedup over the
+reference engine is recorded by ``benchmarks/test_bench_fastcycle.py``.
 """
 
 from __future__ import annotations
@@ -36,16 +46,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator import kernels as _kernels
-from repro.simulator.cycle import CycleStats, SimulationStalled, default_max_cycles
+from repro.simulator.cycle import (
+    CycleStats,
+    SimulationStalled,
+    check_flit_counts,
+    default_max_cycles,
+)
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph, canonical_edge
 from repro.trees.tree import SpanningTree
 
-__all__ = ["FastCycleSimulator"]
+__all__ = ["FastCycleSimulator", "KERNEL_IMPL"]
+
+#: the per-cycle stepping implementation of the serial engines (reported
+#: in benchmark host fingerprints)
+KERNEL_IMPL = "numpy"
 
 _INF = 1 << 30
-_BIG = 1 << 62
+_BIG = 1 << 62  # padded-slot sentinel (empty arbitration slots)
+_DEAD = 1 << 40  # ineligible-flow key offset (still < _BIG, > any real key)
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.setflags(write=False)  # shared "nothing in flight" marker
 
 # planes of the flat state tensor (each of shape (num_trees, n))
 _AGG = 0  # flits fully aggregated at a node (leaves pinned at m_i)
@@ -76,14 +97,8 @@ class FastCycleSimulator:
         buffer_size: Optional[int] = None,
         faults: Optional[FaultSchedule] = None,
         telemetry=None,
-        kernel: str = "auto",
     ):
-        if len(trees) != len(flits_per_tree):
-            raise ValueError("flits_per_tree must align with trees")
-        # resolve the per-cycle kernel up front so bad combinations fail
-        # before any heavy construction (see repro.simulator.kernels)
-        self.kernel = kernel
-        self.kernel_impl = _kernels.resolve_kernel(kernel, telemetry)
+        m = check_flit_counts(flits_per_tree, len(trees))
         if link_capacity < 1:
             raise ValueError("link capacity must be >= 1 flit/cycle")
         if buffer_size is not None and buffer_size < 1:
@@ -94,9 +109,7 @@ class FastCycleSimulator:
             faults.validate_against(g)
         self.g = g
         self.trees = list(trees)
-        self.m = [int(x) for x in flits_per_tree]
-        if any(x < 0 for x in self.m):
-            raise ValueError("flit counts must be non-negative")
+        self.m = m
         self.capacity = link_capacity
         self.buffer_size = buffer_size
         self.faults = faults if faults else None
@@ -225,7 +238,7 @@ class FastCycleSimulator:
         # consumption-group map: flow -> the minimum.reduceat group whose
         # min is the flow's consumed counter (-1 for flows whose consumed
         # counter is a raw 'sent'/BCD value). Shared by the telemetry
-        # queue probe here and the leap verifier's credit extrapolation.
+        # queue probe here and the leap engine's credit extrapolation.
         bcm_pos = {int(ix): gi for gi, ix in enumerate(self._grp_bcm_idx)}
         self._cons_grp = np.asarray(
             [
@@ -240,15 +253,13 @@ class FastCycleSimulator:
         C = len(self._chs)
         self._C = C
         self._ch_k = np.ones(C, dtype=np.int64)
-        # flows grouped by channel (for the capacity-1 segmented-min path)
+        # flows grouped by channel, in round-robin slot order
         gr_fid: List[int] = []
         gr_slot: List[int] = []
         gr_ch: List[int] = []
-        ch_off: List[int] = []
         for ci, ch in enumerate(self._chs):
             fids = channel_flows[ch]
             self._ch_k[ci] = len(fids)
-            ch_off.append(len(gr_fid))
             for slot, fid in enumerate(fids):
                 gr_fid.append(fid)
                 gr_slot.append(slot)
@@ -256,7 +267,6 @@ class FastCycleSimulator:
         self._gr_fid = np.asarray(gr_fid, dtype=np.int64)
         self._gr_slot = np.asarray(gr_slot, dtype=np.int64)
         self._gr_ch = np.asarray(gr_ch, dtype=np.int64)
-        self._ch_off = np.asarray(ch_off, dtype=np.int64)
         # flow -> channel index (each flow lives on exactly one channel);
         # the two-phase stepping API gates whole channels through this map
         self._flow_ch = np.zeros(F, dtype=np.int64)
@@ -264,6 +274,7 @@ class FastCycleSimulator:
             self._flow_ch[self._gr_fid] = self._gr_ch
         # padded (channel x slot) matrix for the general-capacity path
         K = int(self._ch_k.max()) if C else 1
+        self._K = K
         self._ch_fid = np.zeros((C, K), dtype=np.int64)
         self._ch_valid = np.zeros((C, K), dtype=bool)
         for ci, ch in enumerate(self._chs):
@@ -274,6 +285,25 @@ class FastCycleSimulator:
         self._flat_fids = self._ch_fid[self._ch_valid]
         self._rr = np.zeros(C, dtype=np.int64)
         self._ch_cum = np.zeros(C, dtype=np.int64)
+        # capacity-1 closed form on unwrapped keys:
+        # key = (slot + k*(slot < rr))*F + fid is strictly increasing in the
+        # cyclic offset (slot - rr) mod k, so the per-channel min picks the
+        # exact flow the pointer walk would, with no per-cycle modulo
+        self._key0 = self._gr_slot * F + self._gr_fid
+        self._key_wrap = self._ch_k[self._gr_ch] * F
+        # transposed padded scatter target: row j holds the slot-j keys of
+        # every channel (contiguous rows -> cheap K row-minima)
+        self._padT = np.full((K, C), _BIG, dtype=np.int64)
+        self._padT_flat = self._padT.reshape(-1)
+        self._pad_idx = self._gr_slot * C + self._gr_ch
+
+        # per-tree landed-flit totals: a tree is done exactly when every one
+        # of its flows has delivered m_i flits (each is bounded by m_i, so
+        # the landed total hits m_i * #flows iff all are complete) — the
+        # done check is one O(T) compare
+        flow_counts = np.bincount(tree_arr, minlength=T).astype(np.int64)
+        self._done_target = self._m_arr * flow_counts
+        self._done_cnt = np.zeros(T, dtype=np.int64)
 
         # fault bookkeeping: per-flow undirected link keys, plus the dead
         # set / budget mask of the current fault segment (updated lazily —
@@ -285,20 +315,10 @@ class FastCycleSimulator:
         self._dead_mask: Optional[np.ndarray] = None
 
         # in-flight flits: (flow ids, counts) landing at the next boundary
-        self._pending_fids = np.zeros(0, dtype=np.int64)
-        self._pending_cnt = np.zeros(0, dtype=np.int64)
+        self._pending_fids = _EMPTY
+        self._pending_cnt = _EMPTY
         self.flits_moved = 0
         self._refresh_agg()
-
-        # fused-step kernel (numpy fallback or numba) — None on the
-        # Python path; the prep holds derived index arrays + scratch only,
-        # all dynamic state stays on the engine
-        if self.kernel_impl == "python":
-            self._kprep = None
-            self._kstep = None
-        else:
-            self._kprep = _kernels.KernelPrep(self)
-            self._kstep = _kernels.select_step(self.kernel_impl)
 
     # ------------------------------------------------------------ frontiers
 
@@ -309,16 +329,17 @@ class FastCycleSimulator:
             )
 
     def _done_mask(self) -> np.ndarray:
-        if not self._T:
-            return np.ones(0, dtype=bool)
-        if self._kprep is not None:
-            # kernel mode keeps per-tree landed totals; a tree is done
-            # exactly when every flow delivered its m_i (each is bounded
-            # by m_i, so the sum reaches the target iff all complete)
-            return self._kprep.done_cnt >= self._kprep.done_target
-        agg_root = self._flat[self._agg_root_idx]
-        bc_floor = self._state[_BCD].min(axis=1)
-        return (agg_root >= self._m_arr) & (bc_floor >= self._m_arr)
+        return self._done_cnt >= self._done_target
+
+    def _sync_done(self) -> None:
+        """Rebuild the per-tree landed totals from the state tensor (after
+        a leap moved the state without landing events).  Every flow has a
+        unique landing cell, so this is one weighted bincount."""
+        self._done_cnt = np.bincount(
+            self._flow_tree,
+            weights=self._flat[self._land_idx].astype(np.float64),
+            minlength=self._T,
+        ).astype(np.int64)
 
     # ------------------------------------------------------------- dynamics
 
@@ -336,8 +357,6 @@ class FastCycleSimulator:
 
     def step(self) -> int:
         """Advance one cycle; returns the number of flits transferred."""
-        if self._kstep is not None:
-            return self._kstep(self)
         return self.finish_cycle(self.begin_cycle())
 
     # ------------------------------------------------- two-phase stepping
@@ -353,29 +372,25 @@ class FastCycleSimulator:
         mid-cycle, decides which shared channels each may use, and then
         completes each engine's cycle with the losers gated.  ``step()``
         is exactly ``finish_cycle(begin_cycle())``, so ungated two-phase
-        stepping is bit-identical to the plain path by construction.
-        Returns ``None`` when the engine has no flows (the fabric treats
-        that as an all-zero budget).  Requires the Python kernel path —
-        fused kernels step whole cycles and cannot pause mid-cycle.
+        stepping is the plain path.  Returns ``None`` when the engine has
+        no flows (the fabric treats that as an all-zero budget).
         """
-        if self._kstep is not None:
-            raise RuntimeError(
-                "two-phase stepping requires kernel='python' "
-                "(fused kernels cannot pause mid-cycle)"
-            )
         self.cycle += 1
         if self.faults is not None:
             self._refresh_fault_mask()
         # 1. land last cycle's in-flight flits (one-cycle hop latency)
-        if len(self._pending_fids):
-            self._flat[self._land_idx[self._pending_fids]] += self._pending_cnt
-            self._pending_fids = np.zeros(0, dtype=np.int64)
+        pend = self._pending_fids
+        if len(pend):
+            cnt = self._pending_cnt
+            self._flat[self._land_idx[pend]] += cnt
+            np.add.at(self._done_cnt, self._flow_tree[pend], cnt)
+            self._pending_fids = _EMPTY
         if self._F == 0:
             return None
         self._refresh_agg()
 
         # 2. per-flow budgets from the start-of-cycle snapshot
-        avail = self._flat[self._avail_idx] - self.sent
+        budget = self._flat[self._avail_idx] - self.sent
         if self.buffer_size is not None:
             snap = self.sent.copy()
             self._flat[self._grp_bcm_idx] = np.minimum.reduceat(
@@ -386,16 +401,9 @@ class FastCycleSimulator:
                 snap[self._cons_sent_fid],
                 self._flat[self._cons_state_idx],
             )
-            credit = self.buffer_size - (snap - cons)
-            budget = np.minimum(avail, credit)
-        else:
-            snap = credit = None
-            budget = avail
-        self._observe_budgets(avail, credit, snap)
+            budget = np.minimum(budget, self.buffer_size - (snap - cons))
         if self._dead_mask is not None:
-            # flows on down links arbitrate with zero budget; availability
-            # and credit state keep evolving underneath (the leap engine
-            # observes the raw components, so its bounds stay conservative)
+            # flows on down links arbitrate with zero budget
             budget = np.where(self._dead_mask, 0, budget)
         return budget
 
@@ -418,9 +426,38 @@ class FastCycleSimulator:
             budget = np.where(mask_ch[self._flow_ch], 0, budget)
 
         # 3. arbitration
-        if self.capacity == 1:
-            return self._arbitrate_single(budget)
-        return self._arbitrate_general(budget)
+        if self.capacity != 1:
+            return self._arbitrate_general(budget)
+        # capacity-1 round robin: unwrapped key per backlogged flow,
+        # transposed padded scatter, K row-minima, arithmetic rr update
+        F = self._F
+        gr_ch = self._gr_ch
+        key = self._key0 + self._key_wrap * (self._gr_slot < self._rr[gr_ch])
+        key += _DEAD * (budget[self._gr_fid] <= 0)
+        padT = self._padT
+        self._padT_flat.fill(_BIG)
+        self._padT_flat[self._pad_idx] = key
+        best = padT[0]
+        if self._K > 1:
+            best = np.minimum(padT[0], padT[1])
+            for j in range(2, self._K):
+                np.minimum(best, padT[j], out=best)
+        active = best < _DEAD
+        moved = int(active.sum())
+        if not moved:
+            return 0
+        bw = best[active]
+        win = bw % F
+        newrr = bw // F + 1
+        k_act = self._ch_k[active]
+        newrr -= k_act * (newrr >= k_act)
+        self._rr[active] = newrr
+        self.sent[win] += 1
+        self._ch_cum += active
+        self._pending_fids = win
+        self._pending_cnt = np.ones(moved, dtype=np.int64)
+        self.flits_moved += moved
+        return moved
 
     def channel_demand(self, budget: Optional[np.ndarray]) -> np.ndarray:
         """Per-channel count of flows with a positive budget (aligned with
@@ -430,40 +467,6 @@ class FastCycleSimulator:
         if budget is not None and self._F:
             np.add.at(out, self._gr_ch, (budget[self._gr_fid] > 0).astype(np.int64))
         return out
-
-    def _observe_budgets(
-        self,
-        avail: np.ndarray,
-        credit: Optional[np.ndarray],
-        snap: Optional[np.ndarray],
-    ) -> None:
-        """Per-cycle hook with the start-of-cycle budget components.
-
-        A no-op here; the leap engine overrides it to collect the
-        steady-state evidence its closed-form jumps are licensed by."""
-
-    def _arbitrate_single(self, budget: np.ndarray) -> int:
-        """Capacity-1 round robin: each channel grants one flit to the
-        backlogged flow with the smallest cyclic offset from the pointer."""
-        key = (self._gr_slot - self._rr[self._gr_ch]) % self._ch_k[self._gr_ch]
-        packed = np.where(
-            budget[self._gr_fid] > 0, key * self._F + self._gr_fid, _BIG
-        )
-        best = np.minimum.reduceat(packed, self._ch_off)
-        active = best < _BIG
-        moved = int(active.sum())
-        if not moved:
-            return 0
-        best = best[active]
-        win = best % self._F
-        j_sel = best // self._F
-        self._rr[active] = (self._rr[active] + j_sel + 1) % self._ch_k[active]
-        self.sent[win] += 1
-        self._ch_cum[active] += 1
-        self._pending_fids = win
-        self._pending_cnt = np.ones(moved, dtype=np.int64)
-        self.flits_moved += moved
-        return moved
 
     def _arbitrate_general(self, budget: np.ndarray) -> int:
         """Water-filling closed form of the one-flit-per-visit round robin
@@ -519,8 +522,6 @@ class FastCycleSimulator:
     # ----------------------------------------------------- engine protocol
 
     def tree_done(self, i: int) -> bool:
-        if self.m[i] == 0:
-            return True
         return bool(self._done_mask()[i])
 
     def done(self) -> bool:
@@ -551,36 +552,36 @@ class FastCycleSimulator:
         agg = self._flat[self._agg_root_idx]
         return [int(min(a, mi)) for a, mi in zip(agg, self._m_arr)]
 
-    def _consumed_now(self) -> np.ndarray:
-        """Per-flow consumed counters against the *current* state (the
-        post-step receiver-side view; reference `_consumed_now` semantics,
-        vectorized). Computes broadcast-min groups into a local — never
-        into the BCM plane, whose step-time update pattern the leap
-        verifier depends on."""
-        sent = self.sent
+    def _queue_at(self, flat: np.ndarray, sent: np.ndarray) -> np.ndarray:
+        """Per-router receiver-side occupancy of the post-step state
+        ``(flat, sent)``: flits sent toward a router minus flits its
+        consumer stage has drained (reference ``_consumed_now``
+        semantics, vectorized).  The broadcast-min groups are computed
+        into a local, never into the BCM plane.  The leap engine calls
+        this on recorded ring rows to reconstruct in-leap samples."""
+        out = np.zeros(self.n, dtype=np.int64)
+        if self._F == 0:
+            return out
         if len(self._grp_off):
             bcm = np.minimum.reduceat(sent[self._child_bcfid], self._grp_off)
         else:
             bcm = np.zeros(0, dtype=np.int64)
-        return np.where(
+        consumed = np.where(
             self._cons_from_sent,
             sent[self._cons_sent_fid],
             np.where(
                 self._cons_grp >= 0,
                 bcm[np.maximum(self._cons_grp, 0)] if bcm.size else np.int64(0),
-                self._flat[self._cons_state_idx],
+                flat[self._cons_state_idx],
             ),
         )
+        np.add.at(out, self._flow_dst, sent - consumed)
+        return out
 
     def queue_occupancy(self) -> List[int]:
         """Per-router receiver-side queue occupancy (reference semantics,
         one bincount)."""
-        if self._F == 0:
-            return [0] * self.n
-        outstanding = self.sent - self._consumed_now()
-        out = np.zeros(self.n, dtype=np.int64)
-        np.add.at(out, self._flow_dst, outstanding)
-        return [int(x) for x in out]
+        return [int(x) for x in self._queue_at(self._flat, self.sent)]
 
     def phase_flit_totals(self) -> Tuple[List[int], List[int]]:
         """Cumulative (reduce, broadcast) flit-hops per tree."""

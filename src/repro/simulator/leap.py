@@ -13,16 +13,18 @@ boundary, a tree finishing — the simulator can therefore jump
 
 :class:`LeapCycleSimulator` does exactly that, in three phases:
 
-1. **detect** — after every single step it hashes the cycle's signature
-   (the granted flow/count vectors plus the round-robin pointers); two
-   consecutive identical periods of signatures flag a steady-state
-   candidate of period ``P``;
-2. **verify** — it then single-steps two more periods, recording exact
-   (not hashed) signatures, the per-flow budget components, and the
-   streaming-aggregation/credit min-group inputs. The second period must
-   reproduce the first bit-for-bit, and the full state delta over the two
+1. **detect** — after every single step it records the cycle's exact
+   signature (the granted flow/count vectors plus the round-robin
+   pointers), together with a snapshot of the state tensor, the per-flow
+   ``sent`` counters and the channel counters, into preallocated ring
+   buffers (:class:`SteadyRings`); a repeated signature hash flags a
+   steady-state candidate of period ``P``;
+2. **confirm** — the candidate is confirmed *from the rings*, with no
+   extra stepping: the trailing period's signatures must reproduce the
+   preceding period's bit-for-bit, and the state deltas over the two
    periods must agree — that measured delta ``R`` is the per-period
-   advancement vector;
+   advancement vector.  The per-phase budget components the jump bound
+   needs are reconstructed from the recorded rows;
 3. **leap** — the future repeats the recorded period for as long as every
    decision input keeps its *decision-relevant value*: arbitration reads
    budgets only through ``clamp(b, 0, capacity+1)`` (only sign matters at
@@ -47,19 +49,17 @@ differential suite (``tests/test_fastcycle_equivalence.py``,
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.simulator import kernels as _kernels
 from repro.simulator.cycle import CycleStats, SimulationStalled, default_max_cycles
 from repro.simulator.fastcycle import FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
-__all__ = ["LeapCycleSimulator"]
+__all__ = ["LeapCycleSimulator", "SteadyRings"]
 
 _INF_K = 1 << 60  # "no constraint" leap bound
 _BIG = 1 << 62
@@ -82,7 +82,7 @@ class _Steady:
         self.r_chcum = r_chcum          # per-period per-channel flits
         self.r_moved = r_moved          # per-period total flits
         self.phase_chd = phase_chd      # (C, P) per-phase channel activity
-        # telemetry reconstruction (recorded only with a collector attached):
+        # telemetry reconstruction (derived only with a collector attached):
         self.phase_q = phase_q          # (P, n) verified per-phase queues
         self.phase_dq = phase_dq        # (P, n) per-period queue drift
 
@@ -109,10 +109,11 @@ class LeapCycleSimulator(FastCycleSimulator):
     provable fixpoint, so observables stay cycle-exact).
     """
 
-    #: hard cap on the detectable period (memory during verification is
-    #: O(period × flows), so the cap shrinks for very large embeddings)
+    #: hard cap on the detectable period (the detection rings hold
+    #: O(period × state) values, so the cap shrinks for very large
+    #: embeddings)
     P_MAX = 64
-    #: verification memory budget, in (period × flows) recorded values
+    #: detection memory budget, in (period × ring-row) recorded values
     _VERIFY_BUDGET = 1 << 19
 
     engine_name = "leap"
@@ -126,18 +127,11 @@ class LeapCycleSimulator(FastCycleSimulator):
         buffer_size: Optional[int] = None,
         faults: Optional[FaultSchedule] = None,
         telemetry=None,
-        kernel: str = "auto",
     ):
         super().__init__(
             g, trees, flits_per_tree, link_capacity, buffer_size, faults,
-            telemetry=telemetry, kernel=kernel,
+            telemetry=telemetry,
         )
-        # flow -> channel index (for per-phase channel activity blocks)
-        flow_ch = np.zeros(self._F, dtype=np.int64)
-        for ci, ch in enumerate(self._chs):
-            for fid in self.channel_flows[ch]:
-                flow_ch[fid] = ci
-        self._flow_ch = flow_ch
         # broadcast flows grouped (T, n-1): every spanning tree contributes
         # exactly n-1 broadcast flows, created tree-major in __init__
         n = self.n
@@ -147,24 +141,13 @@ class LeapCycleSimulator(FastCycleSimulator):
             self._bc_fids = np.nonzero(is_bc)[0].reshape(self._T, n - 1)
         else:
             self._bc_fids = np.zeros((self._T, 0), dtype=np.int64)
-        # verification memory budget: count every per-phase value the
-        # active mode actually records — budget components + min-group
-        # inputs, the telemetry queue probe, and (kernel mode) the full
-        # SteadyRings rows — so P_MAX-sized candidates can't over-allocate
-        # on large embeddings; the cap shrinks the detectable period
-        # instead (correctness is unaffected, only detection reach)
-        slot = self._F + len(self._child_up_idx)
-        if self.buffer_size is not None:
-            slot += self._F + len(self._child_bcfid)
-        if self.telemetry is not None:
-            slot += self.n + len(self._child_bcfid)
-        if self._kprep is not None:
-            # kernel mode never runs the python recording protocol: its
-            # per-slot cost is the ring row alone (full state/sent/chcum
-            # snapshots + the signature bytes; budget components are
-            # reconstructed lazily at confirm time), and the rings hold
-            # two periods (2*p_max + 1 slots)
-            slot = 2 * (self._flat.size + 2 * self._F + self._C + 1)
+        # detection memory budget: each ring slot holds a full state /
+        # sent / channel-counter snapshot plus the signature bytes, and the
+        # rings hold two periods (2*p_max + 1 slots) — so P_MAX-sized
+        # candidates can't over-allocate on large embeddings; the cap
+        # shrinks the detectable period instead (correctness is
+        # unaffected, only detection reach)
+        slot = 2 * (self._flat.size + 2 * self._F + self._C + 1)
         self._p_max = max(1, min(self.P_MAX, self._VERIFY_BUDGET // max(1, slot)))
         # maps from decision inputs to the minimum.reduceat group feeding
         # them, for principled forward-drift extrapolation of min-planes
@@ -178,37 +161,16 @@ class LeapCycleSimulator(FastCycleSimulator):
         self.leap_log: List[Tuple[int, int, int]] = []
         self.stepped_cycles = 0
         self.idle_skipped = 0  # dead-wait cycles fast-forwarded, not stepped
-        # kernel mode: preallocated detection rings replace the Python
-        # verification protocol (steady states confirm with zero extra
-        # stepped cycles; see repro.simulator.kernels.SteadyRings)
-        self._kring = (
-            _kernels.SteadyRings(self) if self._kprep is not None else None
-        )
-        self._reset_detector()
+        self._steady: Optional[_Steady] = None
+        self._rings = SteadyRings(self)
 
     # ------------------------------------------------------- detector state
 
     def _reset_detector(self) -> None:
-        self._ring: deque = deque(maxlen=2 * self._p_max)
-        self._last_seen: dict = {}
-        self._tick = 0          # steps since the detector was last reset
-        self._cooldown = 0      # steps to skip detection after a failed try
-        self._rec: Optional[dict] = None     # active verification record
-        self._steady: Optional[_Steady] = None
-        self._obs: Optional[tuple] = None    # budget components of the step
-        kring = getattr(self, "_kring", None)
-        if kring is not None:
-            kring.reset(self)
+        self._steady = None
+        self._rings.reset(self)
 
     # --------------------------------------------------------- single steps
-
-    def _observe_budgets(self, avail, credit, snap) -> None:
-        if self._rec is not None:
-            self._obs = (
-                avail,
-                credit,
-                None if snap is None else snap[self._child_bcfid],
-            )
 
     def step(self) -> int:
         moved = super().step()
@@ -217,122 +179,11 @@ class LeapCycleSimulator(FastCycleSimulator):
             if self.faults is not None and self.faults.changes_at(self.cycle):
                 # links died or revived this cycle: every recorded
                 # signature belongs to the previous dynamics regime, so
-                # abort any in-flight detection/verification and restart
+                # restart detection
                 self._reset_detector()
-            elif self._kring is not None:
-                self._kring.observe(self)
             else:
-                self._detect()
+                self._rings.observe(self)
         return moved
-
-    # ------------------------------------------------------------ detection
-
-    def _signature(self) -> Tuple[bytes, bytes, bytes]:
-        return (
-            self._pending_fids.tobytes(),
-            self._pending_cnt[: len(self._pending_fids)].tobytes(),
-            self._rr.tobytes(),
-        )
-
-    def _detect(self) -> None:
-        """Post-step bookkeeping: advance the signature ring and, when a
-        candidate period shows two identical signature periods, run the
-        exact verification protocol."""
-        self._tick += 1
-        t = self._tick
-        sig = self._signature()
-        h = hash(sig)
-        self._ring.append(h)
-
-        if self._rec is not None:
-            self._verify_phase(sig)
-            return
-        if self._steady is not None:
-            return  # waiting for run()/trace loop to consume the leap
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            self._last_seen[h] = t
-            return
-
-        prev = self._last_seen.get(h)
-        self._last_seen[h] = t
-        if len(self._last_seen) > 65536:  # transient-heavy workload: reset
-            self._last_seen = {h: t}
-        if prev is None:
-            return
-        period = t - prev
-        if period < 1 or period > self._p_max or len(self._ring) < 2 * period:
-            return
-        ring = list(self._ring)
-        if ring[-period:] != ring[-2 * period: -period]:
-            return
-        # candidate confirmed on hashes: start exact 2-period verification
-        self._rec = {
-            "P": period,
-            "phase": 0,
-            "sig": [],          # exact signatures of the first period
-            "chd": [],          # per-phase channel activity (trace blocks)
-            "avail2": [],       # second-period budget components + min-group
-            "credit2": [],      # inputs: the values the leap extrapolates
-            "aggch2": [],       # from, so only the final period is kept
-            "bcmch2": [],
-            "queue2": [],       # telemetry only: post-step queues and the
-            "bcm2t": [],        # post-step broadcast-min inputs per phase
-            "flat0": self._flat.copy(),
-            "sent0": self.sent.copy(),
-        }
-
-    def _abort_verify(self) -> None:
-        self._rec = None
-        self._obs = None
-        self._cooldown = 4 * self._p_max
-
-    def _verify_phase(self, sig) -> None:
-        rec = self._rec
-        P = rec["P"]
-        j = rec["phase"]
-        obs, self._obs = self._obs, None
-        if obs is None:  # a no-flow step cannot happen with F > 0
-            self._abort_verify()
-            return
-        avail, credit, bcmch = obs
-        if len(self._pending_fids):
-            chd = np.bincount(
-                self._flow_ch[self._pending_fids],
-                weights=self._pending_cnt,
-                minlength=self._C,
-            ).astype(np.int64)
-        else:
-            chd = np.zeros(self._C, dtype=np.int64)
-        if j < P:
-            rec["sig"].append(sig)
-            rec["chd"].append(chd)
-            if j == P - 1:
-                rec["flat1"] = self._flat.copy()
-                rec["sent1"] = self.sent.copy()
-                rec["chcum1"] = self._ch_cum.copy()
-                rec["moved1"] = self.flits_moved
-        else:
-            jj = j - P
-            if sig != rec["sig"][jj]:
-                self._abort_verify()
-                return
-            rec["avail2"].append(avail)
-            rec["credit2"].append(credit)
-            rec["aggch2"].append(self._flat[self._child_up_idx])
-            rec["bcmch2"].append(bcmch)
-            if self.telemetry is not None:
-                # the queue probe's exact per-phase values, recorded
-                # post-step so in-leap reconstruction lands on the same
-                # observation instants the per-cycle engines sample at
-                rec["queue2"].append(
-                    np.asarray(self.queue_occupancy(), dtype=np.int64)
-                )
-                rec["bcm2t"].append(self.sent[self._child_bcfid].copy())
-            if j == 2 * P - 1:
-                self._finalize_verify()
-                return
-        rec["phase"] = j + 1
 
     # ----------------------------------------------------- leap constraints
 
@@ -425,12 +276,11 @@ class LeapCycleSimulator(FastCycleSimulator):
         Forward per-period rates of the raw counters are exact while the
         grant pattern repeats; min-plane rates come from the argmin group
         (per phase), not from boundary deltas, which argmin churn between
-        the two verify periods could silently corrupt.  Shared by the
-        Python verification protocol (:meth:`_finalize_verify`) and the
-        kernel-mode ring confirmation
-        (:class:`repro.simulator.kernels.SteadyRings`), so both modes
-        license jumps with identical math.  Telemetry reconstruction
-        (``queue2``/``bcm2t``) is only passed on the Python path."""
+        the two recorded periods could silently corrupt.  Telemetry
+        reconstruction (``queue2``/``bcm2t``: the post-step queues and
+        broadcast-min inputs of each phase) is only passed when a
+        collector is attached; it adds the bound that licenses linear
+        queue extrapolation inside the leap."""
         child_rates = r_flat[self._child_up_idx]
         buffered = self.buffer_size is not None
         tel_on = queue2 is not None
@@ -492,60 +342,6 @@ class LeapCycleSimulator(FastCycleSimulator):
                 phase_dq.append(dq)
         return k, phase_q, phase_dq
 
-    def _arm_steady(self, **kw) -> None:
-        """Install a verified steady state (the kernel-mode ring
-        confirmation's entry point into the leap machinery)."""
-        self._steady = _Steady(**kw)
-
-    def _finalize_verify(self) -> None:
-        rec, self._rec = self._rec, None
-        P = rec["P"]
-        # the measured per-period advancement must itself be periodic
-        r_flat = self._flat - rec["flat1"]
-        r_sent = self.sent - rec["sent1"]
-        if not (
-            np.array_equal(r_flat, rec["flat1"] - rec["flat0"])
-            and np.array_equal(r_sent, rec["sent1"] - rec["sent0"])
-        ):
-            self._cooldown = 4 * self._p_max
-            return
-        r_moved = self.flits_moved - rec["moved1"]
-        if r_moved <= 0:
-            # never leap a zero-progress period: the per-cycle engines'
-            # stall detection must fire at its exact cycle
-            self._cooldown = 4 * self._p_max
-            return
-
-        k = self._completion_bound(r_sent)
-        tel_on = self.telemetry is not None
-        k, phase_q, phase_dq = self._license_bounds(
-            P,
-            k,
-            rec["avail2"],
-            rec["credit2"],
-            rec["aggch2"],
-            rec["bcmch2"],
-            r_flat,
-            r_sent,
-            queue2=rec["queue2"] if tel_on else None,
-            bcm2t=rec["bcm2t"] if tel_on else None,
-        )
-        if k <= 0:
-            self._cooldown = 4 * self._p_max
-            return
-        self._steady = _Steady(
-            period=P,
-            k_bound=k,
-            r_flat=r_flat,
-            r_sent=r_sent,
-            r_chcum=self._ch_cum - rec["chcum1"],
-            r_moved=r_moved,
-            phase_chd=np.stack(rec["chd"], axis=1) if rec["chd"] else
-            np.zeros((self._C, P), dtype=np.int64),
-            phase_q=np.stack(phase_q) if phase_q else None,
-            phase_dq=np.stack(phase_dq) if phase_dq else None,
-        )
-
     # -------------------------------------------------------------- leaping
 
     def _take_leap(self, cycle: int, max_cycles: int) -> Tuple[int, Optional[_Steady]]:
@@ -563,7 +359,6 @@ class LeapCycleSimulator(FastCycleSimulator):
             if nxt is not None:
                 k = min(k, (nxt - 1 - cycle) // st.period)
         if k < 1:
-            self._cooldown = 4 * self._p_max
             return 0, None
         if self.telemetry is not None:
             # reconstruct in-leap samples while the state is still the
@@ -577,10 +372,9 @@ class LeapCycleSimulator(FastCycleSimulator):
         # exactly from the leapt UPD counters (matches the post-step
         # invariant AGG == min over children's UPD)
         self._refresh_agg()
-        if self._kprep is not None:
-            # the jump moved state without landing events: rebuild the
-            # per-tree landed totals the kernel done-check reads
-            self._kprep.sync_done(self)
+        # the jump moved state without landing events: rebuild the
+        # per-tree landed totals the done check reads
+        self._sync_done()
         # keep the engine's internal cycle counter (the fault clock that
         # step() consults via down_edges_at) in lockstep with the leap
         self.cycle += k * st.period
@@ -734,4 +528,187 @@ class LeapCycleSimulator(FastCycleSimulator):
             capacity=self.capacity,
             channels=channels,
             blocks=blocks,
+        )
+
+
+class SteadyRings:
+    """Preallocated detection rings: the leap engine's steady-state
+    detector.
+
+    Every stepped cycle records its exact signature, a full state
+    snapshot (``flat``, ``sent``, channel counters, ``flits_moved``) into
+    fixed ring rows.  When two consecutive periods match bit-for-bit *in
+    the rings*, the per-period delta and the licensed jump bound are
+    computed from the recorded rows — zero additional stepped cycles.
+
+    The budget components the jump bound needs are reconstructed lazily at
+    confirmation time, entirely from the rings: arbitration never writes
+    the state tensor, so the pre-arbitration state of the cycle recorded
+    at slot ``s`` is its own ``flat`` row, and its pre-arbitration
+    ``sent`` is simply the *previous* slot's ``sent`` row.  With a
+    telemetry collector attached, the per-phase post-step queues are
+    derived the same way from the slot's own rows (``queue_occupancy``
+    depends only on the post-step ``flat``/``sent``).  A refused
+    confirmation (the state deltas are still converging) is retried on
+    the very next cycle — a retry costs one ring comparison, so steady
+    states are leaped at the earliest cycle the evidence supports.
+
+    Ring length is ``2*p_max + 1`` rows (the confirmation reads back to
+    ``tick - 2P`` inclusively); the rows are counted against the engine's
+    detection memory budget when ``_p_max`` is derived, so large-``q``
+    embeddings shrink the detectable period instead of over-allocating.
+    """
+
+    def __init__(self, sim: LeapCycleSimulator) -> None:
+        self.p_max = sim._p_max
+        R = 2 * self.p_max + 1
+        self.R = R
+        F = sim._F
+        self.buffered = sim.buffer_size is not None
+        self.sig: List[Optional[Tuple[bytes, bytes, bytes]]] = [None] * R
+        self.flat = np.zeros((R, sim._flat.size), dtype=np.int64)
+        self.sent = np.zeros((R, F), dtype=np.int64)
+        self.chcum = np.zeros((R, sim._C), dtype=np.int64)
+        self.moved = np.zeros(R, dtype=np.int64)
+        self.tick = 0
+        self.cooldown = 0
+        self.last_seen: dict = {}
+        self.reset(sim)
+
+    def reset(self, sim: LeapCycleSimulator) -> None:
+        """Restart detection (state changed discontinuously: init, leap,
+        or a fault-schedule event cycle).  Slot 0 snapshots the restart
+        state — it is the ``tick - 2P`` base when a candidate confirms at
+        ``tick == 2P`` exactly."""
+        self.tick = 0
+        self.cooldown = 0
+        self.last_seen = {}
+        np.copyto(self.flat[0], sim._flat)
+        np.copyto(self.sent[0], sim.sent)
+        np.copyto(self.chcum[0], sim._ch_cum)
+        self.moved[0] = sim.flits_moved
+
+    # -- per-step recording + detection ----------------------------------
+
+    def observe(self, sim: LeapCycleSimulator) -> None:
+        """Record this stepped cycle's row and try to confirm a steady
+        state from the rings (sets ``sim._steady`` or arms the
+        cooldown)."""
+        self.tick += 1
+        t = self.tick
+        s = t % self.R
+        pend = sim._pending_fids
+        cnt = sim._pending_cnt[: len(pend)]
+        sig = (pend.tobytes(), cnt.tobytes(), sim._rr.tobytes())
+        self.sig[s] = sig
+        np.copyto(self.flat[s], sim._flat)
+        np.copyto(self.sent[s], sim.sent)
+        np.copyto(self.chcum[s], sim._ch_cum)
+        self.moved[s] = sim.flits_moved
+
+        if sim._steady is not None:
+            return
+        h = hash(sig)
+        if self.cooldown > 0:
+            self.cooldown -= 1
+            self.last_seen[h] = t
+            return
+        prev = self.last_seen.get(h)
+        self.last_seen[h] = t
+        if len(self.last_seen) > 65536:  # transient-heavy workload: reset
+            self.last_seen = {h: t}
+        if prev is None:
+            return
+        period = t - prev
+        if period < 1 or period > self.p_max or t < 2 * period:
+            return
+        self._confirm(sim, period)
+
+    def _confirm(self, sim: LeapCycleSimulator, P: int) -> None:
+        """Exact confirmation from the rings; on success sets
+        ``sim._steady`` to the per-period delta and the licensed jump
+        bound."""
+        t = self.tick
+        R = self.R
+        # the trailing period must reproduce the preceding one exactly
+        # (j = 0 included: the hash match that flagged the candidate is
+        # not trusted against collisions)
+        for j in range(P):
+            if self.sig[(t - j) % R] != self.sig[(t - P - j) % R]:
+                return
+        s1 = (t - P) % R
+        s0 = (t - 2 * P) % R
+        # scalar pre-filter: flits_moved is the running sum of grants, so
+        # a periodic `sent` delta implies a periodic moved delta — if the
+        # cheap scalar disagrees, the array compare below cannot pass
+        if int(sim.flits_moved) - int(self.moved[s1]) != int(
+            self.moved[s1]
+        ) - int(self.moved[s0]):
+            return
+        r_flat = sim._flat - self.flat[s1]
+        r_sent = sim.sent - self.sent[s1]
+        if not (
+            np.array_equal(r_flat, self.flat[s1] - self.flat[s0])
+            and np.array_equal(r_sent, self.sent[s1] - self.sent[s0])
+        ):
+            # signatures repeat but the state deltas have not settled
+            # into the period yet — retry at the next repetition (cheap:
+            # a retry is ring compares, never re-stepping)
+            return
+        r_moved = int(sim.flits_moved - self.moved[s1])
+        if r_moved <= 0:
+            # never leap a zero-progress period: the per-cycle engines'
+            # stall detection must fire at its exact cycle
+            self.cooldown = P
+            return
+        phases = [(t - P + 1 + j) % R for j in range(P)]
+        # budget components of each phase, reconstructed lazily from the
+        # rings: the step at slot ``s`` read the state its own ``flat``
+        # row records (arbitration never writes the tensor) and the
+        # ``sent`` of the *previous* slot.
+        avail = []
+        credit = [] if self.buffered else None
+        aggch = []
+        bcmch = [] if self.buffered else None
+        for s in phases:
+            flat_s = self.flat[s]
+            sent_pre = self.sent[(s - 1) % R]
+            avail.append(flat_s[sim._avail_idx] - sent_pre)
+            aggch.append(flat_s[sim._child_up_idx])
+            if self.buffered:
+                bcmch.append(sent_pre[sim._child_bcfid])
+                cons = np.where(
+                    sim._cons_from_sent,
+                    sent_pre[sim._cons_sent_fid],
+                    flat_s[sim._cons_state_idx],
+                )
+                credit.append(sim.buffer_size + cons - sent_pre)
+        queue2 = bcm2t = None
+        if sim.telemetry is not None:
+            # post-step queue probe and broadcast-min inputs per phase:
+            # the slot's own rows are the post-step state, so in-leap
+            # samples land on the instants the per-cycle engines sample
+            queue2 = [sim._queue_at(self.flat[s], self.sent[s]) for s in phases]
+            bcm2t = [self.sent[s][sim._child_bcfid] for s in phases]
+        k = sim._completion_bound(r_sent)
+        k, phase_q, phase_dq = sim._license_bounds(
+            P, k, avail, credit, aggch, bcmch, r_flat, r_sent,
+            queue2=queue2, bcm2t=bcm2t,
+        )
+        if k <= 0:
+            self.cooldown = P
+            return
+        phase_chd = np.stack(
+            [self.chcum[s] - self.chcum[(s - 1) % R] for s in phases], axis=1
+        )
+        sim._steady = _Steady(
+            period=P,
+            k_bound=k,
+            r_flat=r_flat,
+            r_sent=r_sent,
+            r_chcum=sim._ch_cum - self.chcum[s1],
+            r_moved=r_moved,
+            phase_chd=phase_chd,
+            phase_q=np.stack(phase_q) if phase_q else None,
+            phase_dq=np.stack(phase_dq) if phase_dq else None,
         )

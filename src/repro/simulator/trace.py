@@ -114,17 +114,15 @@ def trace_allreduce(
     link_capacity: int = 1,
     buffer_size: Optional[int] = None,
     max_cycles: Optional[int] = None,
-    engine: str = "reference",
+    engine: str = "fast",
     compress: bool = False,
     faults=None,
-    kernel: str = "auto",
 ):
     """Step the selected cycle engine, recording channel activity.
 
-    ``engine`` selects ``"reference"``, ``"fast"`` or ``"leap"`` — all
-    produce the same :class:`ChannelTrace` (cycle-exact equivalence).
-    ``kernel`` selects the per-cycle stepping implementation
-    (:mod:`repro.simulator.kernels`; bit-identical traces either way).
+    ``engine`` selects ``"fast"`` (the default), ``"reference"`` (the
+    pure-Python oracle), ``"leap"`` or ``"batched"`` — all produce the
+    same :class:`ChannelTrace` (cycle-exact equivalence).
 
     With ``compress=True`` the result is a :class:`CompressedTrace` of
     run-length ``(repeat, block)`` runs instead of a dense per-cycle
@@ -141,8 +139,7 @@ def trace_allreduce(
     from repro.simulator.engine import make_engine
 
     sim = make_engine(
-        engine, g, trees, flits_per_tree, link_capacity, buffer_size, faults,
-        kernel=kernel,
+        engine, g, trees, flits_per_tree, link_capacity, buffer_size, faults
     )
     if compress and hasattr(sim, "trace_compressed"):
         return sim.trace_compressed(max_cycles=max_cycles)

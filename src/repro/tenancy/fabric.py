@@ -197,9 +197,10 @@ class FabricSimulator:
     policy:
         One of :data:`POLICIES`.
     engine:
-        ``"fast"`` (default) or ``"reference"`` — per-tenant engines are
-        constructed with ``kernel="python"`` (fused kernels cannot pause
-        mid-cycle, which two-phase stepping requires).
+        ``"fast"`` (default) or ``"reference"`` — both implement the
+        two-phase ``begin_cycle``/``finish_cycle`` stepping the fabric
+        drives (on the fast engine that split is its only stepping
+        path, so a fabric tenant runs the same code as a solo run).
     faults:
         Optional mapping ``tenant id -> FaultSchedule``, in each
         tenant's *local* clock (cycles since its arrival).
@@ -251,7 +252,6 @@ class FabricSimulator:
                 link_capacity,
                 buffer_size,
                 faults=fs,
-                kernel="python",
             )
             self._tenants[p.job.tenant] = _Tenant(p, eng, fs)
 

@@ -17,9 +17,6 @@ inline across ``tests/test_differential.py``,
   engine, for differential suites that must cover all of them
   (:data:`TELEMETRY_ENGINES` is the subset accepting collectors — the
   batched engine rejects telemetry in v1);
-- :data:`KERNELS` / :func:`kernels` — the per-cycle kernel
-  implementations (:mod:`repro.simulator.kernels`) the engines must be
-  bit-identical across (``"compiled"`` joins only when numba imports);
 - :func:`batch_specs` / :func:`materialize_lanes` — random heterogeneous
   lane batches for the batched engine's differential suite.
 
@@ -58,9 +55,7 @@ __all__ = [
     "random_embedding",
     "CYCLE_ENGINES",
     "TELEMETRY_ENGINES",
-    "KERNELS",
     "cycle_engines",
-    "kernels",
     "fault_specs",
     "materialize_faults",
     "plan_used_links",
@@ -84,25 +79,6 @@ TELEMETRY_ENGINES = ("reference", "fast", "leap")
 def cycle_engines(subset=None):
     """Strategy over cycle-engine names."""
     return st.sampled_from(CYCLE_ENGINES if subset is None else tuple(subset))
-
-
-def _kernel_choices():
-    # "compiled" only when the numba extra is importable — otherwise the
-    # engines correctly refuse it (tests/test_kernels.py pins that), so
-    # the differential axis sticks to the always-available choices
-    from repro.simulator.kernels import HAVE_NUMBA
-
-    return ("python", "auto") + (("compiled",) if HAVE_NUMBA else ())
-
-
-#: kernel implementations every engine must be bit-identical across
-#: ("auto" resolves to the fused NumPy path, or numba when installed)
-KERNELS = _kernel_choices()
-
-
-def kernels():
-    """Strategy over per-cycle kernel implementation names."""
-    return st.sampled_from(KERNELS)
 
 
 def _valid(q: int, scheme: str) -> bool:

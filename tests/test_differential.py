@@ -40,7 +40,6 @@ from tests.strategies import (
     CYCLE_ENGINES,
     PLANS,
     fault_specs,
-    kernels,
     materialize_faults,
     message_sizes,
     plan_keys,
@@ -54,10 +53,9 @@ from tests.strategies import (
     m=message_sizes(max_value=48),
     seed=seeds(),
     op=reduce_ops(),
-    kernel=kernels(),
 )
 @settings(max_examples=25, deadline=None)
-def test_six_engines_agree(key, m, seed, op, kernel):
+def test_six_engines_agree(key, m, seed, op):
     plan = PLANS[key]
     rng = np.random.default_rng(seed)
     x = rng.integers(-100, 100, size=(plan.num_nodes, m))
@@ -81,21 +79,17 @@ def test_six_engines_agree(key, m, seed, op, kernel):
     # fifth through seventh executors: the fast, leap and batched cycle
     # engines must reproduce the timing of the run that produced the
     # (verified) payloads above — full CycleStats (per-tree finish cycles
-    # included) must match the reference engine bit for bit, on every
-    # kernel implementation (the baseline stays pinned to the original
-    # per-stage python step so the axes are independent)
+    # included) must match the pure-Python reference engine bit for bit
     rstats = simulate_allreduce(
         plan.topology, plan.trees, plan.partition(m), engine="reference",
-        kernel="python",
     )
     assert rstats.cycles == pstats.cycles
     assert rstats.flits_moved == pstats.flits_moved
     for engine in ("fast", "leap", "batched"):
         estats = simulate_allreduce(
             plan.topology, plan.trees, plan.partition(m), engine=engine,
-            kernel=kernel,
         )
-        assert estats == rstats, (engine, kernel)
+        assert estats == rstats, engine
 
 
 @given(
@@ -118,63 +112,53 @@ def test_packet_and_cycle_simulators_agree_on_timing(key, m):
     key=plan_keys(),
     m=message_sizes(max_value=40),
     spec=fault_specs(max_events=2, transient_only=True),
-    kernel=kernels(),
 )
 @settings(max_examples=20, deadline=None)
-def test_cycle_engines_agree_under_transient_faults(key, m, spec, kernel):
-    # an identical FaultSchedule on all three engines must yield
-    # bit-identical stats AND per-cycle traces (the fault layer may not
-    # perturb cycle-exactness), whatever kernel implementation steps them
-    # (the reference baseline stays on the python path)
+def test_cycle_engines_agree_under_transient_faults(key, m, spec):
+    # an identical FaultSchedule on every engine must yield bit-identical
+    # stats AND per-cycle traces (the fault layer may not perturb
+    # cycle-exactness)
     plan = PLANS[key]
     faults = materialize_faults(plan, spec)
     parts = plan.partition(m)
     ref = simulate_allreduce(
         plan.topology, plan.trees, parts, engine="reference", faults=faults,
-        kernel="python",
     )
     t_ref = trace_allreduce(
         plan.topology, plan.trees, parts, engine="reference", faults=faults,
-        kernel="python",
     )
     for engine in ("fast", "leap", "batched"):
         stats = simulate_allreduce(
             plan.topology, plan.trees, parts, engine=engine, faults=faults,
-            kernel=kernel,
         )
-        assert stats == ref, (engine, kernel)
+        assert stats == ref, engine
         t = trace_allreduce(
             plan.topology, plan.trees, parts, engine=engine, faults=faults,
-            kernel=kernel,
         )
-        assert t.activity == t_ref.activity, (engine, kernel)
+        assert t.activity == t_ref.activity, engine
 
 
 @given(
     key=plan_keys(),
     m=message_sizes(min_value=4, max_value=40),
     spec=fault_specs(max_events=1, max_down=30),
-    kernel=kernels(),
 )
 @settings(max_examples=20, deadline=None)
-def test_cycle_engines_agree_on_stall_or_completion(key, m, spec, kernel):
+def test_cycle_engines_agree_on_stall_or_completion(key, m, spec):
     # permanent faults may sever the run: then every engine must raise
-    # SimulationStalled at the same cycle with the same pending trees,
-    # whichever kernel implementation steps it
+    # SimulationStalled at the same cycle with the same pending trees
     plan = PLANS[key]
     faults = materialize_faults(plan, spec)
     parts = plan.partition(m)
     outcomes = {}
     for engine in CYCLE_ENGINES:
-        for kern in ("python", kernel):
-            try:
-                s = simulate_allreduce(
-                    plan.topology, plan.trees, parts, engine=engine,
-                    faults=faults, kernel=kern,
-                )
-                outcomes[(engine, kern)] = ("done", s.cycles, s.tree_completion)
-            except SimulationStalled as st_exc:
-                outcomes[(engine, kern)] = ("stall", st_exc.cycle, st_exc.pending)
+        try:
+            s = simulate_allreduce(
+                plan.topology, plan.trees, parts, engine=engine, faults=faults,
+            )
+            outcomes[engine] = ("done", s.cycles, s.tree_completion)
+        except SimulationStalled as st_exc:
+            outcomes[engine] = ("stall", st_exc.cycle, st_exc.pending)
     assert len(set(outcomes.values())) == 1, outcomes
 
 

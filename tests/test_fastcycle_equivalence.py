@@ -24,9 +24,13 @@ from hypothesis import strategies as st
 
 from repro.core import build_plan
 from repro.simulator import (
+    ENGINES,
     CycleSimulator,
     FastCycleSimulator,
+    FaultSchedule,
+    LaneSpec,
     LeapCycleSimulator,
+    SimulationStalled,
     make_engine,
     simulate_allreduce,
     trace_allreduce,
@@ -40,6 +44,7 @@ from tests.strategies import (
     link_capacities,
     message_sizes,
     plan_keys,
+    plan_used_links,
     random_embedding,
     seeds,
     topology_names,
@@ -221,3 +226,172 @@ class TestEngineParity:
                 s.step()
         else:
             pytest.fail("simulation did not complete")
+
+
+def _observables(sim):
+    return (
+        sim.cycle,
+        sim.flits_moved,
+        tuple(sim.channel_flit_counts()),
+        tuple(sim.delivered_floor()),
+        tuple(sim.reduced_at_root()),
+        tuple(sim.queue_occupancy()),
+        tuple(map(tuple, sim.phase_flit_totals())),
+        sim.done(),
+        sim.has_in_flight(),
+    )
+
+
+class TestStepwiseObservables:
+    """Every protocol observable, not just traces and stats, must agree
+    between the pure-Python reference and the vectorized engines after
+    every single step."""
+
+    CASES = [
+        # (q, scheme, m, capacity, buffer, faulted)
+        (3, "low-depth", 25, 1, None, False),
+        (5, "edge-disjoint", 18, 1, 2, False),
+        (5, "low-depth", 16, 3, None, False),
+        (5, "low-depth", 21, 2, 2, True),
+    ]
+
+    @pytest.mark.parametrize("q,scheme,m,cap,buf,faulted", CASES)
+    def test_stepwise_bit_identity(self, q, scheme, m, cap, buf, faulted):
+        plan = get_plan(q, scheme)
+        parts = plan.partition(m)
+
+        def build(engine):
+            faults = (
+                FaultSchedule([(plan_used_links(plan)[0], 6, 20)])
+                if faulted else None
+            )
+            return make_engine(engine, plan.topology, plan.trees, parts, cap,
+                               buf, faults=faults)
+
+        ref, fast, leap = build("reference"), build("fast"), build("leap")
+        assert ref.channels() == fast.channels() == leap.channels()
+        while not ref.done():
+            moved = ref.step()
+            assert fast.step() == moved and leap.step() == moved
+            assert _observables(fast) == _observables(ref)
+            assert _observables(leap) == _observables(ref)
+        assert fast.done() and leap.done()
+
+    def test_run_leaves_identical_counters(self):
+        plan = get_plan(5, "low-depth")
+        parts = plan.partition(30)
+        ref = CycleSimulator(plan.topology, plan.trees, parts)
+        fast = FastCycleSimulator(plan.topology, plan.trees, parts)
+        assert fast.run() == ref.run()
+        assert (fast.cycle, fast.flits_moved) == (ref.cycle, ref.flits_moved)
+
+
+class TestDoneCounts:
+    """The fast engine's done check reads per-tree landed-flit totals
+    instead of the frontiers; it must flip exactly when the reference's
+    frontier check does."""
+
+    def test_done_counts_track_reference_done(self):
+        plan = get_plan(5, "low-depth")
+        parts = plan.partition(14)
+        sim = FastCycleSimulator(plan.topology, plan.trees, parts)
+        ref = CycleSimulator(plan.topology, plan.trees, parts)
+        while not ref.done():
+            sim.step(), ref.step()
+            for i in range(len(plan.trees)):
+                assert sim.tree_done(i) == ref.tree_done(i)
+        assert sim.done()
+
+    def test_zero_flit_trees_complete_immediately(self):
+        plan = get_plan(3, "low-depth")
+        parts = [0] * plan.num_trees
+        for engine in ("reference", "fast", "leap", "batched"):
+            stats = simulate_allreduce(plan.topology, plan.trees, parts,
+                                       engine=engine)
+            assert stats.cycles == 0, engine
+
+    def test_heterogeneous_parts_exact(self):
+        plan = get_plan(5, "edge-disjoint")
+        rng = np.random.default_rng(3)
+        parts = [int(x) for x in rng.integers(0, 9, plan.num_trees)]
+        base = simulate_allreduce(plan.topology, plan.trees, parts,
+                                  engine="reference")
+        for engine in ("fast", "leap", "batched"):
+            got = simulate_allreduce(plan.topology, plan.trees, parts,
+                                     engine=engine)
+            assert got == base, engine
+
+
+class TestFlitCountValidation:
+    """Every engine rejects non-integral or negative flit counts instead of
+    truncating them (one shared validator)."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(3.0)])
+    def test_non_integral_counts_raise_type_error(self, engine, bad):
+        plan = get_plan(3, "low-depth")
+        with pytest.raises(TypeError, match="integers"):
+            make_engine(engine, plan.topology, plan.trees,
+                        [bad] * plan.num_trees)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_negative_counts_raise_value_error(self, engine):
+        plan = get_plan(3, "low-depth")
+        parts = [3] * (plan.num_trees - 1) + [-1]
+        with pytest.raises(ValueError, match="non-negative"):
+            make_engine(engine, plan.topology, plan.trees, parts)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_numpy_integers_accepted(self, engine):
+        plan = get_plan(3, "low-depth")
+        T = plan.num_trees
+        got = make_engine(engine, plan.topology, plan.trees,
+                          np.full(T, 4, dtype=np.int64)).run()
+        assert got == make_engine(engine, plan.topology, plan.trees,
+                                  [4] * T).run()
+        assert all(type(x) is int for x in got.flits_per_tree)
+
+    def test_lane_spec_rejects_non_integral_counts(self):
+        with pytest.raises(TypeError, match="integers"):
+            LaneSpec((2.5, 1))
+        with pytest.raises(ValueError, match="non-negative"):
+            LaneSpec((1, -2))
+
+
+class TestOracleIndependence:
+    """The reference engine shares no stepping code with the fast engine:
+    it must still run when every fast stepping entry point is broken."""
+
+    @pytest.fixture
+    def broken_fast(self, monkeypatch):
+        def boom(self, *args, **kwargs):
+            raise AssertionError("fast stepping path entered")
+
+        for name in ("begin_cycle", "finish_cycle", "step", "run"):
+            monkeypatch.setattr(FastCycleSimulator, name, boom)
+        return monkeypatch
+
+    def test_reference_runs_without_fast_engine(self, broken_fast):
+        plan = get_plan(5, "low-depth")
+        parts = plan.partition(60)
+        ref = simulate_allreduce(plan.topology, plan.trees, parts,
+                                 engine="reference")
+        broken_fast.undo()
+        assert ref == simulate_allreduce(plan.topology, plan.trees, parts,
+                                         engine="fast")
+
+    def test_reference_runs_faulted_without_fast_engine(self, broken_fast):
+        plan = get_plan(5, "low-depth")
+        parts = plan.partition(60)
+        faults = FaultSchedule([(plan_used_links(plan)[0], 6, 30)])
+
+        def outcome(engine):
+            try:
+                return simulate_allreduce(plan.topology, plan.trees, parts,
+                                          engine=engine, faults=faults)
+            except SimulationStalled as exc:
+                return ("stall", exc.cycle, exc.pending)
+
+        ref = outcome("reference")
+        broken_fast.undo()
+        assert ref == outcome("fast")

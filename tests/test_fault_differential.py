@@ -22,7 +22,7 @@ from repro.simulator import (
     trace_allreduce,
 )
 
-from tests.strategies import CYCLE_ENGINES, KERNELS, plan_used_links
+from tests.strategies import CYCLE_ENGINES, plan_used_links
 
 Q = 7
 M = 120
@@ -53,15 +53,12 @@ def _grid():
     ]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize(
     "label,scheme,build",
     _grid(),
     ids=[f"{s}-{l}" for l, s, _ in _grid()],
 )
-def test_engines_bit_identical_under_faults(label, scheme, build, kernel):
-    # the kernel axis rides on the engine grid: the reference baseline is
-    # pinned to the python path, every other engine steps via ``kernel``
+def test_engines_bit_identical_under_faults(label, scheme, build):
     plan = build_plan(Q, scheme)
     faults = build(plan_used_links(plan))
     parts = plan.partition(M)
@@ -69,11 +66,9 @@ def test_engines_bit_identical_under_faults(label, scheme, build, kernel):
     outcomes = {}
     traces = {}
     for engine in CYCLE_ENGINES:
-        kern = "python" if engine == "reference" else kernel
         try:
             s = simulate_allreduce(
                 plan.topology, plan.trees, parts, engine=engine, faults=faults,
-                kernel=kern,
             )
             outcomes[engine] = ("done", s.cycles, s.tree_completion,
                                 s.flits_moved)
@@ -82,15 +77,14 @@ def test_engines_bit_identical_under_faults(label, scheme, build, kernel):
         try:
             traces[engine] = trace_allreduce(
                 plan.topology, plan.trees, parts, engine=engine, faults=faults,
-                kernel=kern,
             ).activity
         except SimulationStalled:
             traces[engine] = None
 
     ref = outcomes["reference"]
     for engine in CYCLE_ENGINES[1:]:
-        assert outcomes[engine] == ref, (label, engine, kernel, outcomes)
-        assert traces[engine] == traces["reference"], (label, engine, kernel)
+        assert outcomes[engine] == ref, (label, engine, outcomes)
+        assert traces[engine] == traces["reference"], (label, engine)
 
 
 def test_leap_compressed_trace_matches_dense_under_faults():

@@ -10,6 +10,9 @@ single-stepper would also pass:
 - leaped runs stay exact at message sizes the per-cycle engines cannot
   reach (verified against the affine cycle-count law the steady state
   implies);
+- the ring detector (:class:`SteadyRings`) confirms steady states from
+  recorded rows, stays exact under faults, buffers and capacity, and
+  charges its rings against the detection memory budget;
 - compressed traces (:class:`CompressedTrace`) expand to the reference
   dense trace and conserve flit totals;
 - the satellite optimizations (vectorized transcript accounting, bounded
@@ -23,6 +26,7 @@ import pytest
 from repro.collectives import Transcript, transcript_link_loads
 from repro.simulator import (
     CompressedTrace,
+    FaultSchedule,
     LeapCycleSimulator,
     make_engine,
     simulate_allreduce,
@@ -32,7 +36,7 @@ from repro.simulator.engine import ENGINES
 from repro.topology import clear_polarfly_cache, polarfly_graph
 from repro.topology.routing import route_edges
 
-from tests.strategies import CYCLE_ENGINES, KERNELS, get_plan
+from tests.strategies import CYCLE_ENGINES, get_plan, plan_used_links
 
 
 def test_engine_registry_matches_strategies():
@@ -45,15 +49,13 @@ def test_engine_registry_matches_strategies():
 
 
 class TestLeaping:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_leap_engine_actually_leaps(self, kernel):
-        """Stepped cycles must not scale with m once steady state locks —
-        on the python detector and the kernel ring detector alike."""
+    def test_leap_engine_actually_leaps(self):
+        """Stepped cycles must not scale with m once steady state locks."""
         plan = get_plan(7, "low-depth")
         stepped = {}
         for m in (2_000, 20_000):
             sim = make_engine("leap", plan.topology, plan.trees,
-                              plan.partition(m), kernel=kernel)
+                              plan.partition(m))
             stats = sim.run()
             assert sim.leap_log, f"no leap at m={m}"
             leaped = sum(k * p for _, p, k in sim.leap_log)
@@ -62,8 +64,7 @@ class TestLeaping:
         # O(depth + #events): growing m 10x must not grow stepped cycles
         assert stepped[20_000] <= stepped[2_000] + 8
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_leap_exact_at_moderate_m(self, kernel):
+    def test_leap_exact_at_moderate_m(self):
         """Cross-check against the O(cycles) fast engine where it is
         still affordable, including credit flow control and capacity."""
         plan = get_plan(7, "edge-disjoint")
@@ -71,13 +72,13 @@ class TestLeaping:
             flits = plan.partition(1_500)
             fast = simulate_allreduce(
                 plan.topology, plan.trees, flits, cap, buffer_size=buf,
-                engine="fast", kernel="python",
+                engine="fast",
             )
             leap = simulate_allreduce(
                 plan.topology, plan.trees, flits, cap, buffer_size=buf,
-                engine="leap", kernel=kernel,
+                engine="leap",
             )
-            assert leap == fast, (cap, buf, kernel)
+            assert leap == fast, (cap, buf)
 
     def test_leap_exact_at_paper_scale_m(self):
         """At m where per-cycle engines are infeasible, pin the affine
@@ -124,6 +125,84 @@ class TestLeaping:
             except RuntimeError as exc:
                 outcomes[engine] = ("raise", str(exc), sim.flits_moved)
         assert len(set(outcomes.values())) == 1, outcomes
+
+
+# -------------------------------------------------------- ring detector
+
+
+class TestLeapRingDetector:
+    def test_rings_account_for_every_cycle(self):
+        # the rings confirm retrospectively: a confirmed candidate arms
+        # the steady state on the spot, and stepped + leaped cycles must
+        # add up to the run exactly
+        plan = get_plan(7, "low-depth")
+        parts = plan.partition(5_000)
+        sim = make_engine("leap", plan.topology, plan.trees, parts)
+        stats = sim.run()
+        assert sim.leap_log
+        leaped = sum(k * p for _, p, k in sim.leap_log)
+        assert sim.stepped_cycles + leaped == stats.cycles
+        assert stats == simulate_allreduce(plan.topology, plan.trees, parts)
+
+    def test_rings_exact_under_faults(self):
+        plan = get_plan(7, "low-depth")
+        parts = plan.partition(800)
+        faults = FaultSchedule([(plan_used_links(plan)[1], 10, 120)])
+        base = simulate_allreduce(plan.topology, plan.trees, parts,
+                                  engine="reference", faults=faults)
+        got = simulate_allreduce(plan.topology, plan.trees, parts,
+                                 engine="leap", faults=faults)
+        assert got == base
+
+    def test_rings_exact_with_buffers_and_capacity(self):
+        plan = get_plan(5, "edge-disjoint")
+        parts = plan.partition(700)
+        base = simulate_allreduce(plan.topology, plan.trees, parts, 2,
+                                  buffer_size=3, engine="reference")
+        got = simulate_allreduce(plan.topology, plan.trees, parts, 2,
+                                 buffer_size=3, engine="leap")
+        assert got == base
+
+
+class TestVerifyBudget:
+    def test_ring_buffers_fit_the_budget(self):
+        # the rings snapshot the full state tensor per slot; the derived
+        # period cap must keep the preallocated rings inside the budget
+        plan = get_plan(5, "low-depth")
+        sim = LeapCycleSimulator(plan.topology, plan.trees, plan.partition(20))
+        assert 1 <= sim._p_max <= LeapCycleSimulator.P_MAX
+        slot = 2 * (sim._flat.size + 2 * sim._F + sim._C + 1)
+        assert (
+            sim._p_max == 1
+            or sim._p_max * slot <= LeapCycleSimulator._VERIFY_BUDGET
+        )
+        assert sim._rings.flat.shape[0] == 2 * sim._p_max + 1
+
+    def test_small_q_keeps_full_period_cap(self):
+        # the budget only bites on large embeddings: small q keeps the
+        # full P_MAX reach
+        plan = get_plan(5, "low-depth")
+        sim = LeapCycleSimulator(plan.topology, plan.trees, plan.partition(10))
+        assert sim._p_max == LeapCycleSimulator.P_MAX
+
+    def test_exact_at_p_max_boundary(self):
+        # regression: a tiny budget clamps _p_max to 1; the engine must
+        # degrade to fewer/shorter leaps, never to wrong answers or
+        # over-allocation
+        class TinyBudget(LeapCycleSimulator):
+            _VERIFY_BUDGET = 1
+
+        plan = get_plan(5, "low-depth")
+        parts = plan.partition(900)
+        tiny = TinyBudget(plan.topology, plan.trees, parts)
+        assert tiny._p_max == 1
+        stats = tiny.run()
+        base = simulate_allreduce(plan.topology, plan.trees, parts,
+                                  engine="fast")
+        assert stats == base
+        leaped = sum(k * p for _, p, k in tiny.leap_log)
+        assert tiny.stepped_cycles + leaped == stats.cycles
+        assert all(p == 1 for _, p, _k in tiny.leap_log)
 
 
 # ------------------------------------------------------- compressed traces
