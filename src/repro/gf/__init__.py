@@ -1,12 +1,14 @@
 """Galois-field substrate: GF(p^a) arithmetic and polynomial machinery.
 
 Built from scratch (the paper used the ``galois`` package and PARI); see
-DESIGN.md S2. The two consumers are the projective-geometry construction of
+DESIGN.md S2. Field tables, the primitive search and the Singer walk are
+table-driven and vectorized; the generic polynomial tests stay as oracles.
+The two consumers are the projective-geometry construction of
 ER_q (orthogonality over ``F_q^3``) and the Singer difference-set
 construction (powers of a primitive root of ``F_{q^3}``).
 """
 
-from repro.gf.gf import GF, get_field
+from repro.gf.gf import GF, MAX_ORDER, get_field
 from repro.gf.poly import (
     ONE,
     X,
@@ -27,12 +29,14 @@ from repro.gf.poly import (
     poly_scale,
     poly_sub,
     poly_trim,
+    primitive_polys_lex,
     smallest_irreducible,
     smallest_primitive,
 )
 
 __all__ = [
     "GF",
+    "MAX_ORDER",
     "get_field",
     "ZERO",
     "ONE",
@@ -53,6 +57,7 @@ __all__ = [
     "is_irreducible",
     "is_primitive",
     "monic_polys_lex",
+    "primitive_polys_lex",
     "smallest_irreducible",
     "smallest_primitive",
 ]

@@ -10,15 +10,29 @@ which in turn pins down the "lexicographically smallest" degree-3 primitive
 polynomial of Section 6.2 and makes the generated Singer difference sets
 reproducible.
 
+Construction is table-driven and vectorized; no Python loop runs over
+element pairs:
+
+- the modulus is found by a sieve: every product of two monic factors of
+  complementary degree is marked reducible, and the smallest unmarked
+  code (integer codes order monic polynomials lexicographically) wins;
+- the ``q x q`` multiplication table takes one matrix product per digit:
+  digit ``k`` of ``x * y`` is ``sum_i x_i * digit_k(y * X^i) mod p``, where
+  the ``a`` shifted copies ``y * X^i`` come from repeated multiply-by-``X``
+  steps reduced by the monic modulus;
+- addition, negation and inversion tables follow from the digits and the
+  multiplication table.
+
 Scalar operations are exact Python ints; vector operations accept NumPy
-arrays and are fully vectorized (modular arithmetic for prime fields,
-precomputed ``q x q`` lookup tables for extension fields — at most 16K
-entries for the radixes PolarFly supports), as required for building the
-``N^2`` orthogonality adjacency of ER_q without Python-level loops.
+arrays (modular arithmetic for prime fields, the ``q x q`` lookup tables for
+extension fields), as required for building the ``N^2`` orthogonality
+adjacency of ER_q without Python-level loops. Orders above
+:data:`MAX_ORDER` are rejected before any table is allocated.
 """
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 from typing import Tuple
 
@@ -27,7 +41,12 @@ import numpy as np
 from repro.gf import poly as P
 from repro.utils.numbertheory import prime_power_decomposition
 
-__all__ = ["GF", "get_field"]
+__all__ = ["GF", "MAX_ORDER", "get_field"]
+
+#: Largest supported field order. Extension fields hold ``q x q`` add and
+#: multiplication tables (8 MB each at this bound); larger orders are
+#: refused before anything is allocated.
+MAX_ORDER = 1024
 
 
 class GF:
@@ -36,7 +55,9 @@ class GF:
     Parameters
     ----------
     q:
-        Field order; must be a prime power. Raises ``ValueError`` otherwise.
+        Field order: an ``int`` prime power ``q <= MAX_ORDER``. Raises
+        ``TypeError`` for non-integers (including ``bool``) and
+        ``ValueError`` for other orders.
 
     Attributes
     ----------
@@ -49,6 +70,14 @@ class GF:
     """
 
     def __init__(self, q: int):
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+            raise TypeError(f"field order must be an int, not {type(q).__name__}")
+        q = int(q)
+        if q > MAX_ORDER:
+            raise ValueError(
+                f"GF({q}) is not supported: field tables are built for "
+                f"orders q <= MAX_ORDER = {MAX_ORDER}"
+            )
         p, a = prime_power_decomposition(q)
         self.order = q
         self.char = p
@@ -63,49 +92,46 @@ class GF:
 
     def _init_prime(self) -> None:
         q = self.order
-        self._inv_table = np.zeros(q, dtype=np.int64)
-        self._inv_table[1:] = np.array([pow(i, -1, q) for i in range(1, q)], dtype=np.int64)
+        self._inv_table = np.array(
+            [0] + [pow(i, -1, q) for i in range(1, q)], dtype=np.int64
+        )
+        self._neg_table = -np.arange(q, dtype=np.int64) % q
         self._add_table = None
         self._mul_table = None
 
     def _init_extension(self) -> None:
         p, a, q = self.char, self.degree, self.order
-        base = GF(p)
-        self.modulus = P.smallest_irreducible(base, a)
-
-        # Digit (coefficient) decomposition of every element: digits[e, i] is
-        # the coefficient of x^i in element e.
-        digits = np.zeros((q, a), dtype=np.int64)
-        for e in range(q):
-            v = e
-            for i in range(a):
-                digits[e, i] = v % p
-                v //= p
-        self._digits = digits
+        self.modulus = _smallest_modulus(p, a)
         weights = p ** np.arange(a, dtype=np.int64)
+        # digits[e, i] is the coefficient of x^i in element e
+        digits = np.arange(q, dtype=np.int64)[:, None] // weights % p
+        self._digits = digits
 
-        # Addition is digit-wise mod p: vectorized table build.
-        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
-        self._add_table = add.astype(np.int64)
+        self._neg_table = -digits % p @ weights
 
-        # Multiplication table via polynomial arithmetic mod the modulus.
+        # shifted[i, :, y] = digits of y * x^i: multiply by x shifts the
+        # digits up one place and folds the overflow back with
+        # x^a = -(low modulus).
+        low = np.array(self.modulus[:a], dtype=np.int64)[:, None]
+        shifted = np.empty((a, a, q), dtype=np.int64)
+        shifted[0] = digits.T
+        for i in range(1, a):
+            top = shifted[i - 1, -1]
+            shifted[i, 0] = 0
+            shifted[i, 1:] = shifted[i - 1, :-1]
+            shifted[i] = (shifted[i] - low * top) % p
+        # one q x q matmul per output digit: digit k of x * y is
+        # sum_i x_i * digit k of (y * x^i), mod p
+        add = np.zeros((q, q), dtype=np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
-        polys = [P.poly_trim(digits[e].tolist()) for e in range(q)]
-        for i in range(q):
-            for j in range(i, q):
-                prod = P.poly_mod(base, P.poly_mul(base, polys[i], polys[j]), self.modulus)
-                enc = 0
-                for d, c in enumerate(prod):
-                    enc += c * (p**d)
-                mul[i, j] = enc
-                mul[j, i] = enc
+        for k in range(a):
+            add += (digits[:, k, None] + digits[None, :, k]) % p * weights[k]
+            mul += digits @ shifted[:, k] % p * weights[k]
+        self._add_table = add
         self._mul_table = mul
 
-        inv = np.zeros(q, dtype=np.int64)
-        for e in range(1, q):
-            # the row of e contains 1 exactly once (field => e is a unit)
-            inv[e] = int(np.nonzero(mul[e] == 1)[0][0])
-        self._inv_table = inv
+        # the row of a unit contains 1 exactly once; row 0 maps to 0
+        self._inv_table = np.argmax(self._mul_table == 1, axis=1)
 
     # --------------------------------------------------------------- scalars
 
@@ -115,15 +141,10 @@ class GF:
         return int(self._add_table[x, y])
 
     def neg(self, x: int) -> int:
-        if self._add_table is None:
-            return (-x) % self.order
-        # char-p digit-wise negation
-        p = self.char
-        dig = (-self._digits[x]) % p
-        return int(dig @ (p ** np.arange(self.degree, dtype=np.int64)))
+        return int(self._neg_table[x])
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return self.add(x, int(self._neg_table[y]))
 
     def mul(self, x: int, y: int) -> int:
         if self._mul_table is None:
@@ -173,12 +194,8 @@ class GF:
         return self._mul_table[x, y]
 
     def vneg(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        if self._add_table is None:
-            return (-x) % self.order
-        p = self.char
-        dig = (-self._digits[x]) % p
-        return dig @ (p ** np.arange(self.degree, dtype=np.int64))
+        """Element-wise field negation of integer-coded arrays."""
+        return self._neg_table[np.asarray(x, dtype=np.int64)]
 
     # ------------------------------------------------------------- encodings
 
@@ -212,7 +229,40 @@ class GF:
         return hash(("GF", self.order))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def get_field(q: int) -> GF:
-    """Memoized field factory — table construction is done once per order."""
+    """Memoized field factory — table construction is done once per order.
+
+    ``typed`` keeps ``7.0`` and ``True`` from hitting the entries of ``7``
+    and ``1``, so they reach :class:`GF`'s type check.
+    """
     return GF(q)
+
+
+def _smallest_modulus(p: int, a: int) -> Tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree ``a`` over F_p.
+
+    A monic of degree ``a`` is coded by its low coefficients as base-``p``
+    digits; that code orders monics lexicographically (high coefficients
+    most significant). Every product of monic factors of degrees ``d`` and
+    ``a - d`` (``1 <= d <= a/2``) is marked reducible; the smallest
+    unmarked code is the answer. Same result as
+    ``smallest_irreducible(GF(p), a)``.
+    """
+    reducible = np.zeros(p**a, dtype=bool)
+    weights = p ** np.arange(a, dtype=np.int64)
+    for d in range(1, a // 2 + 1):
+        left, right = _monic_coefficients(p, d), _monic_coefficients(p, a - d)
+        prod = np.zeros((len(left), len(right), a + 1), dtype=np.int64)
+        for i in range(d + 1):
+            prod[:, :, i : i + a - d + 1] += left[:, None, i, None] * right[None, :, :]
+        reducible[prod[:, :, :a] % p @ weights] = True
+    code = int(np.argmin(reducible))
+    return tuple(int(c) for c in code // weights % p) + (1,)
+
+
+def _monic_coefficients(p: int, d: int) -> np.ndarray:
+    """All monic degree-``d`` polynomials over F_p, ascending coefficients."""
+    codes = np.arange(p**d, dtype=np.int64)[:, None]
+    low = codes // p ** np.arange(d, dtype=np.int64) % p
+    return np.concatenate([low, np.ones_like(codes)], axis=1)

@@ -5,18 +5,27 @@ order with no trailing zeros (the zero polynomial is the empty tuple). All
 functions take the coefficient field as an explicit ``field`` argument —
 any object exposing scalar ``add/sub/mul/neg/inv`` over integer-coded
 elements qualifies, in particular :class:`repro.gf.GF`. This keeps the
-module free of import cycles: ``GF(p^a)`` is built *from* polynomials over
-``GF(p)``, and the Singer construction builds ``F_{q^3}`` from polynomials
-over ``GF(q)``.
+module free of an import cycle with :mod:`repro.gf.gf`, which uses it for
+element encodings.
 
-Includes Rabin's irreducibility test and a primitivity test, used to find
-the lexicographically smallest degree-3 primitive polynomial over ``F_q``
-that Section 6.2 prescribes for reproducible difference sets.
+Section 6.2 prescribes the lexicographically smallest degree-3 primitive
+polynomial over ``F_q`` for reproducible difference sets.
+:func:`primitive_polys_lex` finds it table-driven: a monic of degree 2 or
+3 is irreducible iff it has no root in ``F_q``, which one block of ``q^2``
+candidates at a time is sieved for with the field's vector ops; the order
+test ``x^((q^n-1)/r) != 1`` then runs square-and-multiply in
+``F_q[x]/(f)`` over the field's add/mul tables as Python lists. Rabin's
+irreducibility test (:func:`is_irreducible`), :func:`is_primitive` and
+:func:`poly_powmod` remain as the generic oracles the fast path is tested
+against; the library no longer calls them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from itertools import product
+from typing import Iterable, Iterator, List, Tuple
+
+import numpy as np
 
 from repro.utils.numbertheory import prime_factors
 
@@ -42,6 +51,7 @@ __all__ = [
     "is_irreducible",
     "is_primitive",
     "monic_polys_lex",
+    "primitive_polys_lex",
     "smallest_irreducible",
     "smallest_primitive",
 ]
@@ -232,11 +242,91 @@ def smallest_irreducible(field, degree: int) -> Poly:
     )  # pragma: no cover - irreducibles always exist
 
 
+def primitive_polys_lex(field, degree: int) -> Iterator[Poly]:
+    """Yield the monic primitive polynomials of ``degree`` in lex order.
+
+    The order is that of :func:`monic_polys_lex`. Degrees 2 and 3 take the
+    table-driven path (rootless sieve, then the order test over list
+    tables; ``field`` must offer ``vadd``/``vmul``/``vneg`` like
+    :class:`repro.gf.GF`); other degrees filter with :func:`is_primitive`.
+    """
+    if degree not in (2, 3):
+        yield from (f for f in monic_polys_lex(field, degree) if is_primitive(field, f))
+        return
+    q = field.order
+    elems = np.arange(q, dtype=np.int64)
+    add = field.vadd(elems[:, None], elems[None, :]).tolist()
+    mul = field.vmul(elems[:, None], elems[None, :]).tolist()
+    group = q**degree - 1
+    exponents = [group // r for r in prime_factors(group)]
+    one = [1] + [0] * (degree - 1)
+    for f in _rootless_monics_lex(field, degree):
+        fold = [field.neg(c) for c in f[:degree]]  # x^n = sum fold[t] x^t
+        if all(_x_power_mod(add, mul, fold, e) != one for e in exponents):
+            yield f
+
+
+def _rootless_monics_lex(field, degree: int) -> Iterator[Poly]:
+    """Monic polynomials of ``degree`` without a root in F_q, in lex order.
+
+    Candidates come in blocks of ``q^2`` sharing ``(c_{n-1}, ..., c_2)``.
+    In a block, ``t`` is a root of ``x^n + ... + c_1 x + c_0`` iff
+    ``c_0 = -(t^n + ... + c_1 t)``; one table lookup per ``(c_1, t)`` marks
+    every rooted ``(c_1, c_0)``, and the unmarked ones are read off in
+    row-major (= lex) order.
+    """
+    q = field.order
+    t = np.arange(q, dtype=np.int64)
+    powers = [np.ones(q, dtype=np.int64), t]
+    while len(powers) <= degree:
+        powers.append(field.vmul(powers[-1], t))
+    c1_t = field.vmul(t[:, None], t[None, :])  # [c_1, t] -> c_1 t
+    for high in product(range(q), repeat=degree - 2):  # (c_{n-1}, ..., c_2)
+        value = powers[degree]
+        for c, power in zip(high, reversed(powers[2:degree])):
+            value = field.vadd(value, field.vmul(c, power))
+        rooted = np.zeros((q, q), dtype=bool)
+        rooted[t[:, None], field.vneg(field.vadd(value[None, :], c1_t))] = True
+        tail = tuple(reversed(high)) + (1,)
+        for code in np.flatnonzero(~rooted).tolist():
+            c1, c0 = divmod(code, q)
+            yield (c0, c1) + tail
+
+
+def _x_power_mod(add, mul, fold, e: int) -> List[int]:
+    """``x^e`` in ``F_q[x]/(f)`` by left-to-right square-and-multiply.
+
+    Elements are coefficient lists of length ``n = deg f``; ``add``/``mul``
+    are the field tables as nested lists and ``fold`` the coefficients of
+    ``x^n`` reduced mod ``f``. Multiplying by ``x`` is a shift plus one fold.
+    """
+    n = len(fold)
+    acc = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * n - 1)
+        for i, a in enumerate(acc):
+            if a:
+                row = mul[a]
+                for j, b in enumerate(acc):
+                    sq[i + j] = add[sq[i + j]][row[b]]
+        if bit == "1":
+            sq.insert(0, 0)
+        else:
+            sq.append(0)
+        for k in range(2 * n - 1, n - 1, -1):
+            c = sq[k]
+            if c:
+                row = mul[c]
+                for j in range(n):
+                    sq[k - n + j] = add[sq[k - n + j]][row[fold[j]]]
+        acc = sq[:n]
+    return acc
+
+
 def smallest_primitive(field, degree: int) -> Poly:
     """Lexicographically smallest monic primitive polynomial of ``degree``."""
-    for f in monic_polys_lex(field, degree):
-        if is_primitive(field, f):
-            return f
+    for f in primitive_polys_lex(field, degree):
+        return f
     raise RuntimeError(
         f"no monic primitive of degree {degree} over F_{field.order}"
     )  # pragma: no cover - primitives always exist

@@ -13,9 +13,15 @@ Construction (paper steps 1–5, after Stinson):
 
 Because ``zeta^N`` generates ``F_q^*``, scaling by field constants shifts
 exponents by multiples of ``N`` and preserves ``i = 0``; hence it suffices
-to walk ``l in [0, N)`` — each residue class is visited exactly once. That
-makes the construction O(N) with O(1) field operations per step instead of
-the naive O(q^3).
+to walk ``l in [0, N)`` — each residue class is visited exactly once.
+
+The walk is vectorized by doubling. If ``zeta^k = a0 + a1 zeta + a2
+zeta^2`` then ``zeta^(k+l) = a0 zeta^l + a1 zeta^(l+1) + a2 zeta^(l+2)``,
+and since every coefficient is linear the ``zeta^2`` coefficients ``s``
+obey the same identity: ``s[k+l] = a0 s[l] + a1 s[l+1] + a2 s[l+2]``.
+Holding ``s[0 .. k+2]`` as one array, the next block ``s[k+3 .. 2k]`` is
+three table lookups and two table additions over arrays. About
+``log2 N`` doublings replace the ``N`` scalar steps.
 
 The Singer graph ``S_q`` (Definition 6.3) has vertices ``Z_N`` and an edge
 ``(i, j)`` iff the *edge sum* ``(i + j) mod N`` is in ``D``. Reflection
@@ -26,7 +32,9 @@ the quadrics of ER_q (Corollary 6.8).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from repro.gf import get_field, smallest_primitive
 from repro.topology.graph import Graph, canonical_edge
@@ -56,26 +64,45 @@ def singer_difference_set(q: int) -> Tuple[int, ...]:
     """
     prime_power_decomposition(q)
     field = get_field(q)
-    n = q * q + q + 1
-    f = smallest_primitive(field, 3)
-    # f = x^3 + c2 x^2 + c1 x + c0  (ascending coding: (c0, c1, c2, 1))
-    c0 = f[0] if len(f) > 0 else 0
-    c1 = f[1] if len(f) > 1 else 0
-    c2 = f[2] if len(f) > 2 else 0
-    neg, mul, add = field.neg, field.mul, field.add
-    m2, m1, m0 = neg(c2), neg(c1), neg(c0)
-
-    # zeta^l = i*zeta^2 + j*zeta + k; multiply by zeta using zeta^3 =
-    # -(c2 zeta^2 + c1 zeta + c0).
-    i, j, k = 0, 0, 1  # zeta^0
-    dset: List[int] = []
-    for ell in range(n):
-        if i == 0:
-            dset.append(ell)
-        i, j, k = add(j, mul(i, m2)), add(k, mul(i, m1)), mul(i, m0)
+    dset = _zeta_walk(field, smallest_primitive(field, 3))
     if len(dset) != q + 1:  # pragma: no cover - guarded by construction
         raise RuntimeError(f"Singer construction failed for q={q}: |D|={len(dset)}")
-    return tuple(dset)
+    return dset
+
+
+def _zeta_walk(field, f) -> Tuple[int, ...]:
+    """Exponents ``l in [0, N)`` whose ``zeta^l`` has no ``zeta^2`` term.
+
+    ``f = x^3 + c2 x^2 + c1 x + c0`` (ascending coding ``(c0, c1, c2, 1)``)
+    is the primitive cubic with root ``zeta``, so ``zeta^3 = m0 + m1 zeta +
+    m2 zeta^2`` with ``m = -c``. Only ``s[l]``, the ``zeta^2`` coefficient
+    of ``zeta^l``, is kept: multiplying by ``zeta`` sends
+    ``(k_l, j_l, s_l)`` to ``(m0 s_l, k_l + m1 s_l, j_l + m2 s_l)``, so
+    ``zeta^k`` is recovered from ``s[k], s[k+1], s[k+2]``.
+    """
+    q = field.order
+    n = q * q + q + 1
+    add, sub, mul = field.add, field.sub, field.mul
+    m0, m1, m2 = (field.neg(c) for c in f[:3])
+    s = [0, 0, 1]  # zeta^0, zeta^1, zeta^2
+    while len(s) < 6:
+        s.append(add(add(mul(m2, s[-1]), mul(m1, s[-2])), mul(m0, s[-3])))
+    s = np.array(s, dtype=np.int64)
+    while len(s) < n:
+        # zeta^k = a0 + a1 zeta + a2 zeta^2, read back from s[k:k+3]
+        k = len(s) - 3
+        a2 = int(s[k])
+        a1 = sub(int(s[k + 1]), mul(m2, a2))
+        a0 = sub(sub(int(s[k + 2]), mul(m2, int(s[k + 1]))), mul(m1, a2))
+        # zeta^(k+l) = a0 zeta^l + a1 zeta^(l+1) + a2 zeta^(l+2), for
+        # l = 3 .. k: the next block s[k+3 : 2k+1], cut at N
+        end = 3 + min(k - 2, n - len(s))
+        block = field.vadd(
+            field.vadd(field.vmul(a0, s[3:end]), field.vmul(a1, s[4 : end + 1])),
+            field.vmul(a2, s[5 : end + 2]),
+        )
+        s = np.concatenate([s, block])
+    return tuple(np.flatnonzero(s[:n] == 0).tolist())
 
 
 def is_perfect_difference_set(dset: Sequence[int], n: int) -> bool:
@@ -137,8 +164,6 @@ class SingerGraph:
         self.dset = singer_difference_set(q)
         self.reflections = reflection_points(self.dset, self.n)
         # Vectorized build: for each color d, the edge set {(i, d-i mod N)}.
-        import numpy as np
-
         i = np.arange(self.n, dtype=np.int64)
         us = np.concatenate([i for _ in self.dset])
         vs = np.concatenate([(d - i) % self.n for d in self.dset])
