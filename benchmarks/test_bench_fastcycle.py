@@ -5,12 +5,18 @@ reference engine can sweep in reasonable time) on both cycle engines.
 Pass criteria: the engines agree exactly on the resulting
 :class:`CycleStats`, and the vectorized engine is >= 10x faster.
 
+A q=13 row records the engine build against one step of the built engine
+(``build_vs_step``, both timed in the same process): the flow tables are
+built with array operations, so building costs a handful of steps, not
+dozens.
+
 Each case's reproduced numbers land in ``benchmark.extra_info`` (for the
 pytest-benchmark JSON) *and* are persisted to ``BENCH_fastcycle.json`` at
 the repo root so the perf trajectory is tracked across PRs.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -18,10 +24,11 @@ import pytest
 from conftest import record
 
 from repro.core import build_plan
-from repro.simulator import simulate_allreduce
+from repro.simulator import make_engine, simulate_allreduce
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fastcycle.json"
 SPEEDUP_TARGET = 10.0
+BUILD_VS_STEP_GATE = 20.0  # build wall <= this many step walls at q=13
 
 CASES = [
     # scheme, q, m, buffer_size
@@ -123,3 +130,43 @@ def test_fastcycle_scaling_headroom(benchmark):
     }
     record(benchmark, **payload)
     _persist(f"scaling-headroom-q7-m{m}", payload)
+
+
+def test_build_vs_step_q13():
+    """Engine build at q=13 (N=183, 13 low-depth trees, buffer 2) over the
+    median wall of one step of the built engine, measured back to back."""
+    plan = build_plan(13, "low-depth")
+    parts = plan.partition(2000 * plan.num_trees)
+
+    def build():
+        return make_engine("fast", plan.topology, plan.trees, parts, 1, 2)
+
+    build()  # warm the plan's validation memo and the allocator
+    builds, steps = [], []
+    for _ in range(7):
+        t0 = time.perf_counter()
+        sim = build()
+        builds.append(time.perf_counter() - t0)
+    for _ in range(60):
+        t0 = time.perf_counter()
+        sim.step()
+        steps.append(time.perf_counter() - t0)
+    build_s = min(builds)
+    step_s = statistics.median(steps[10:])
+    ratio = build_s / step_s
+    _persist(
+        "build-vs-step-q13",
+        {
+            "q": 13,
+            "scheme": "low-depth",
+            "trees": plan.num_trees,
+            "build_ms": round(build_s * 1e3, 3),
+            "step_us": round(step_s * 1e6, 1),
+            "build_vs_step": round(ratio, 2),
+            "build_vs_step_gate": BUILD_VS_STEP_GATE,
+        },
+    )
+    assert ratio <= BUILD_VS_STEP_GATE, (
+        f"engine build costs {ratio:.1f} steps at q=13 "
+        f"(gate {BUILD_VS_STEP_GATE})"
+    )

@@ -9,6 +9,15 @@ bit-identical to the solo engine (isolation differential, re-asserted
 here as the speedup precondition) and the K-tenant fabric completes in
 less wall-cycles than K serialized solos.
 
+A second case times the fabric itself on the shape of the end-to-end
+benchmark's tenants requests (q=11 low-depth, K=2 tenants sharing every
+tree, m=2000 each, buffer 2): wall per tenant-cycle of a whole
+``simulate_tenants`` call, over the wall per cycle of one tenant's solo
+fast-engine run (build included in both) in the same process. The
+dimensionless ``tenant_cycle_overhead`` is gated at 3.0: the shared-channel
+arbiter works on arrays, so a tenant's cycle inside a shared run costs
+about two solo cycles, not ten.
+
 Each case's numbers land in ``benchmark.extra_info`` *and* are persisted
 to ``BENCH_tenancy.json`` at the repo root so the trajectory is tracked
 across PRs.
@@ -23,7 +32,7 @@ from conftest import record
 
 from repro.core import build_plan
 from repro.simulator import make_engine
-from repro.tenancy import FabricSimulator, TenantJob, place_jobs
+from repro.tenancy import FabricSimulator, TenantJob, place_jobs, simulate_tenants
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_tenancy.json"
 Q = 7
@@ -31,6 +40,9 @@ M = 64
 TENANTS = 4
 TREES_EACH = 1  # partitioned: distinct trees, overlapping links (cong. 2)
 BUDGET_S = 30.0  # shared-CI generous; single-digit locally
+OVERHEAD_Q = 11
+OVERHEAD_M = 2000
+OVERHEAD_GATE = 3.0  # fabric wall per tenant-cycle / solo wall per cycle
 
 
 def _persist(case_id, payload):
@@ -117,4 +129,57 @@ def test_k_tenant_throughput_vs_serial_solo(benchmark):
     )
     assert fabric_s < BUDGET_S, (
         f"fabric run took {fabric_s:.2f}s (budget {BUDGET_S}s)"
+    )
+
+
+def test_tenant_cycle_overhead_vs_solo():
+    """Collective-shaped fabric: one tenant-cycle of a K=2 shared run must
+    cost at most OVERHEAD_GATE solo cycles, timed in the same process."""
+    plan = build_plan(OVERHEAD_Q, "low-depth")
+    jobs = [
+        TenantJob(tenant=t, arrival=0, m=OVERHEAD_M, tree_count=plan.num_trees)
+        for t in range(2)
+    ]
+    fplan = place_jobs(OVERHEAD_Q, jobs, mode="shared")
+    placement = fplan.placements[0]
+    trees = [fplan.trees[i] for i in placement.tree_ids]
+
+    def solo():
+        return make_engine(
+            "fast", fplan.topology, trees, list(placement.flits), 1, 2
+        ).run()
+
+    fabric_s, solo_s = [], []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        stats = simulate_tenants(fplan, 1, 2)
+        fabric_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        alone = solo()
+        solo_s.append(time.perf_counter() - t0)
+    assert all(o.status == "completed" for o in stats.outcomes)
+    tenant_cycles = sum(o.local_cycles for o in stats.outcomes)
+    fabric_us = min(fabric_s) / tenant_cycles * 1e6
+    solo_us = min(solo_s) / alone.cycles * 1e6
+    overhead = fabric_us / solo_us
+    _persist(
+        f"tenant-cycle-overhead-q{OVERHEAD_Q}-k2",
+        {
+            "q": OVERHEAD_Q,
+            "scheme": "low-depth",
+            "k": 2,
+            "mode": "shared",
+            "m": OVERHEAD_M,
+            "buffer_size": 2,
+            "tenant_cycles": tenant_cycles,
+            "solo_cycles": alone.cycles,
+            "fabric_us_per_tenant_cycle": round(fabric_us, 1),
+            "solo_us_per_cycle": round(solo_us, 1),
+            "tenant_cycle_overhead": round(overhead, 2),
+            "tenant_cycle_overhead_gate": OVERHEAD_GATE,
+        },
+    )
+    assert overhead <= OVERHEAD_GATE, (
+        f"a fabric tenant-cycle costs {overhead:.2f} solo cycles "
+        f"(gate {OVERHEAD_GATE})"
     )

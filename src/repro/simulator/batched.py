@@ -201,7 +201,6 @@ class BatchedCycleSimulator:
         self._F = F
         C = tmpl._C
         self._C = C
-        self.channel_flows = tmpl.channel_flows
 
         B = len(self.lanes)
         self._B = B
@@ -303,9 +302,6 @@ class BatchedCycleSimulator:
         if self._have_faults:
             self._dead_mask = np.zeros((F, B), dtype=bool)
             self._edge_flows: Dict[Tuple[int, int], np.ndarray] = {}
-            edges = np.asarray(
-                [e for e in tmpl._flow_edges], dtype=np.int64
-            ).reshape(F, 2) if F else np.zeros((0, 2), dtype=np.int64)
             for b, sched in enumerate(self._lane_faults):
                 if sched is None:
                     continue
@@ -314,7 +310,7 @@ class BatchedCycleSimulator:
                 for e in sched.edges():
                     if e not in self._edge_flows:
                         self._edge_flows[e] = np.nonzero(
-                            (edges[:, 0] == e[0]) & (edges[:, 1] == e[1])
+                            tmpl._flow_edge == e[0] * self.n + e[1]
                         )[0]
 
         self._refresh_agg()

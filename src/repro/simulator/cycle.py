@@ -380,6 +380,10 @@ class CycleSimulator:
         """Tree ``i`` completed, counting only flits that have landed."""
         return self._tree_done(i)
 
+    def trees_done(self) -> List[bool]:
+        """Per-tree :meth:`tree_done` flags in one read."""
+        return [self._tree_done(i) for i in range(len(self.trees))]
+
     def done(self) -> bool:
         return all(self._tree_done(i) for i in range(len(self.trees)))
 
@@ -503,7 +507,7 @@ class CycleSimulator:
         (into :meth:`channels`) gated off this cycle — same semantics as a
         down link.  Returns the number of flits transferred."""
         blocked_chs = set()
-        if blocked:
+        if blocked is not None and len(blocked):
             chs = list(self.channel_flows)
             blocked_chs = {chs[i] for i in blocked}
         moved = 0

@@ -42,7 +42,7 @@ reference engine is recorded by ``benchmarks/test_bench_fastcycle.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from repro.simulator.cycle import (
     default_max_cycles,
 )
 from repro.simulator.faultsched import FaultSchedule
-from repro.topology.graph import Graph, canonical_edge
+from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
 
 __all__ = ["FastCycleSimulator", "KERNEL_IMPL"]
@@ -122,32 +122,21 @@ class FastCycleSimulator:
         self._T = T
         self._m_arr = np.asarray(self.m, dtype=np.int64).reshape(T)
 
-        # ---- flows, in the exact fid order of the reference simulator
-        # (the order fixes the round-robin visit sequence per channel)
-        f_tree: List[int] = []
-        f_src: List[int] = []
-        f_dst: List[int] = []
-        f_is_reduce: List[bool] = []
-        channel_flows: Dict[Tuple[int, int], List[int]] = {}
-        up_fid_of: Dict[Tuple[int, int], int] = {}  # (tree, child) -> reduce fid
-        bc_fid_of: Dict[Tuple[int, int], int] = {}  # (tree, child) -> broadcast fid
-        for ti, t in enumerate(self.trees):
-            for v, p in t.parent.items():
-                fid = len(f_tree)
-                f_tree.append(ti); f_src.append(v); f_dst.append(p); f_is_reduce.append(True)
-                channel_flows.setdefault((v, p), []).append(fid)
-                up_fid_of[(ti, v)] = fid
-                fid = len(f_tree)
-                f_tree.append(ti); f_src.append(p); f_dst.append(v); f_is_reduce.append(False)
-                channel_flows.setdefault((p, v), []).append(fid)
-                bc_fid_of[(ti, v)] = fid
-        self.channel_flows = channel_flows
-        F = len(f_tree)
+        # ---- flows, in the exact fid order of the reference simulator:
+        # tree-major, then per parent-map entry (v, p) the reduce flow
+        # v -> p (fid 2e) and the broadcast flow p -> v (fid 2e + 1) of
+        # global edge e (the order fixes the round-robin visit sequence
+        # per channel)
+        arrs = [t.parent_arrays() for t in self.trees]
+        e_child = np.concatenate([_EMPTY] + [c for c, _ in arrs])
+        e_par = np.concatenate([_EMPTY] + [p for _, p in arrs])
+        e_tree = np.repeat(np.arange(T, dtype=np.int64), [len(c) for c, _ in arrs])
+        F = 2 * len(e_child)
         self._F = F
-        tree_arr = np.asarray(f_tree, dtype=np.int64).reshape(F)
-        src_arr = np.asarray(f_src, dtype=np.int64).reshape(F)
-        dst_arr = np.asarray(f_dst, dtype=np.int64).reshape(F)
-        is_reduce = np.asarray(f_is_reduce, dtype=bool).reshape(F)
+        tree_arr = np.repeat(e_tree, 2)
+        src_arr = np.stack([e_child, e_par], axis=1).reshape(F)
+        dst_arr = np.stack([e_par, e_child], axis=1).reshape(F)
+        is_reduce = np.arange(F) % 2 == 0
         roots = np.asarray([t.root for t in self.trees], dtype=np.int64)
         self._roots = roots
         # per-flow metadata kept for telemetry (queue/phase aggregation)
@@ -190,98 +179,67 @@ class FastCycleSimulator:
         #   reduce into an interior -> that node's own up-flow 'sent'
         #   broadcast into a leaf   -> broadcast-delivered at the leaf
         #   broadcast into interior -> min over its broadcast 'sent'
-        has_kids = {(ti, v) for ti, t in enumerate(self.trees) for v in t.parent.values()}
-        cons_state = np.empty(F, dtype=np.int64)
-        cons_from_sent = np.zeros(F, dtype=bool)
-        cons_sent_fid = np.zeros(F, dtype=np.int64)
-        for fid in range(F):
-            ti, d = f_tree[fid], f_dst[fid]
-            if f_is_reduce[fid]:
-                if d == self.trees[ti].root:
-                    cons_state[fid] = fidx(_BCM, np.int64(ti), np.int64(d))
-                else:
-                    cons_from_sent[fid] = True
-                    cons_sent_fid[fid] = up_fid_of[(ti, d)]
-                    cons_state[fid] = 0
-            else:
-                cons_state[fid] = fidx(
-                    _BCD if (ti, d) not in has_kids else _BCM, np.int64(ti), np.int64(d)
-                )
-        self._cons_state_idx = cons_state
+        up_fid = np.zeros((T, n), dtype=np.int64)  # (tree, child) -> reduce fid
+        up_fid[e_tree, e_child] = np.arange(0, F, 2)
+        has_kids = np.zeros((T, n), dtype=bool)
+        has_kids[e_tree, e_par] = True
+        cons_from_sent = is_reduce & (dst_arr != roots[tree_arr])
         self._cons_from_sent = cons_from_sent
-        self._cons_sent_fid = cons_sent_fid
+        self._cons_sent_fid = np.where(cons_from_sent, up_fid[tree_arr, dst_arr], 0)
+        cons_plane = np.where(is_reduce | has_kids[tree_arr, dst_arr], _BCM, _BCD)
+        self._cons_state_idx = np.where(
+            cons_from_sent, 0, fidx(cons_plane, tree_arr, dst_arr)
+        )
 
         # ---- streaming-aggregation structure: children grouped per
-        # internal (tree, node), one minimum.reduceat per cycle
-        grp_idx: List[int] = []
-        offsets: List[int] = []
-        child_up_idx: List[int] = []
-        child_bcfid: List[int] = []
-        for ti, t in enumerate(self.trees):
-            for v in range(n):
-                kids = t.children(v)
-                if not kids:
-                    continue
-                grp_idx.append(_AGG * plane + ti * n + v)
-                offsets.append(len(child_up_idx))
-                for c in kids:
-                    child_up_idx.append(_UPD * plane + ti * n + c)
-                    child_bcfid.append(bc_fid_of[(ti, c)])
-        self._grp_agg_idx = np.asarray(grp_idx, dtype=np.int64)
+        # internal (tree, node) in ascending order, one minimum.reduceat
+        # per cycle
+        order = np.lexsort((e_child, e_par, e_tree))
+        grp_key, self._grp_off = np.unique(
+            e_tree[order] * n + e_par[order], return_index=True
+        )
+        self._grp_agg_idx = _AGG * plane + grp_key
         self._grp_bcm_idx = self._grp_agg_idx + (_BCM - _AGG) * plane
-        self._grp_off = np.asarray(offsets, dtype=np.int64)
-        self._child_up_idx = np.asarray(child_up_idx, dtype=np.int64)
-        self._child_bcfid = np.asarray(child_bcfid, dtype=np.int64)
-        self._agg_root_idx = fidx(
-            np.full(T, _AGG, dtype=np.int64), np.arange(T, dtype=np.int64), roots
-        ) if T else np.zeros(0, dtype=np.int64)
+        self._child_up_idx = fidx(_UPD, e_tree[order], e_child[order])
+        self._child_bcfid = 2 * order + 1
+        self._agg_root_idx = fidx(_AGG, np.arange(T, dtype=np.int64), roots)
         # consumption-group map: flow -> the minimum.reduceat group whose
         # min is the flow's consumed counter (-1 for flows whose consumed
         # counter is a raw 'sent'/BCD value). Shared by the telemetry
         # queue probe here and the leap engine's credit extrapolation.
-        bcm_pos = {int(ix): gi for gi, ix in enumerate(self._grp_bcm_idx)}
-        self._cons_grp = np.asarray(
-            [
-                -1 if cons_from_sent[f] else bcm_pos.get(int(ix), -1)
-                for f, ix in enumerate(cons_state)
-            ],
-            dtype=np.int64,
-        ) if F else np.zeros(0, dtype=np.int64)
+        grp_of = np.full(self._flat.size, -1, dtype=np.int64)
+        grp_of[self._grp_bcm_idx] = np.arange(len(grp_key))
+        self._cons_grp = np.where(cons_from_sent, -1, grp_of[self._cons_state_idx])
 
-        # ---- per-channel arbitration structures
-        self._chs: List[Tuple[int, int]] = list(channel_flows)
+        # ---- per-channel arbitration structures: channels in order of
+        # first appearance, each channel's flows in fid (= slot) order
+        _, first, inv = np.unique(
+            src_arr * n + dst_arr, return_index=True, return_inverse=True
+        )
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(len(first))
+        flow_ch = rank[inv.reshape(F)]
+        ch_first = np.sort(first)
+        self._chs: List[Tuple[int, int]] = list(
+            zip(src_arr[ch_first].tolist(), dst_arr[ch_first].tolist())
+        )
         C = len(self._chs)
         self._C = C
-        self._ch_k = np.ones(C, dtype=np.int64)
+        self._ch_k = np.bincount(flow_ch, minlength=C)
         # flows grouped by channel, in round-robin slot order
-        gr_fid: List[int] = []
-        gr_slot: List[int] = []
-        gr_ch: List[int] = []
-        for ci, ch in enumerate(self._chs):
-            fids = channel_flows[ch]
-            self._ch_k[ci] = len(fids)
-            for slot, fid in enumerate(fids):
-                gr_fid.append(fid)
-                gr_slot.append(slot)
-                gr_ch.append(ci)
-        self._gr_fid = np.asarray(gr_fid, dtype=np.int64)
-        self._gr_slot = np.asarray(gr_slot, dtype=np.int64)
-        self._gr_ch = np.asarray(gr_ch, dtype=np.int64)
+        self._gr_fid = np.argsort(flow_ch, kind="stable")
+        self._gr_ch = flow_ch[self._gr_fid]
+        self._gr_slot = np.arange(F) - (np.cumsum(self._ch_k) - self._ch_k)[self._gr_ch]
         # flow -> channel index (each flow lives on exactly one channel);
         # the two-phase stepping API gates whole channels through this map
-        self._flow_ch = np.zeros(F, dtype=np.int64)
-        if F:
-            self._flow_ch[self._gr_fid] = self._gr_ch
+        self._flow_ch = flow_ch
         # padded (channel x slot) matrix for the general-capacity path
         K = int(self._ch_k.max()) if C else 1
         self._K = K
         self._ch_fid = np.zeros((C, K), dtype=np.int64)
-        self._ch_valid = np.zeros((C, K), dtype=bool)
-        for ci, ch in enumerate(self._chs):
-            fids = channel_flows[ch]
-            self._ch_fid[ci, : len(fids)] = fids
-            self._ch_valid[ci, : len(fids)] = True
+        self._ch_fid[self._gr_ch, self._gr_slot] = self._gr_fid
         self._pos = np.arange(K, dtype=np.int64)[None, :]
+        self._ch_valid = self._pos < self._ch_k[:, None]
         self._flat_fids = self._ch_fid[self._ch_valid]
         self._rr = np.zeros(C, dtype=np.int64)
         self._ch_cum = np.zeros(C, dtype=np.int64)
@@ -308,9 +266,8 @@ class FastCycleSimulator:
         # fault bookkeeping: per-flow undirected link keys, plus the dead
         # set / budget mask of the current fault segment (updated lazily —
         # the set of down links only changes at schedule event cycles)
-        self._flow_edges = [
-            canonical_edge(s, d) for s, d in zip(f_src, f_dst)
-        ]
+        lo, hi = np.minimum(src_arr, dst_arr), np.maximum(src_arr, dst_arr)
+        self._flow_edge = lo * n + hi
         self._dead_now = frozenset()
         self._dead_mask: Optional[np.ndarray] = None
 
@@ -328,7 +285,8 @@ class FastCycleSimulator:
                 self._flat[self._child_up_idx], self._grp_off
             )
 
-    def _done_mask(self) -> np.ndarray:
+    def trees_done(self) -> np.ndarray:
+        """Per-tree :meth:`tree_done` flags in one read (a fresh array)."""
         return self._done_cnt >= self._done_target
 
     def _sync_done(self) -> None:
@@ -350,7 +308,7 @@ class FastCycleSimulator:
         if dead != self._dead_now:
             self._dead_now = dead
             self._dead_mask = (
-                np.asarray([e in dead for e in self._flow_edges], dtype=bool)
+                np.isin(self._flow_edge, [u * self.n + v for u, v in dead])
                 if dead
                 else None
             )
@@ -463,10 +421,9 @@ class FastCycleSimulator:
         """Per-channel count of flows with a positive budget (aligned with
         :meth:`channels`) — what the fabric's arbitration policies read to
         stay work-conserving."""
-        out = np.zeros(self._C, dtype=np.int64)
-        if budget is not None and self._F:
-            np.add.at(out, self._gr_ch, (budget[self._gr_fid] > 0).astype(np.int64))
-        return out
+        if budget is None:
+            return np.zeros(self._C, dtype=np.int64)
+        return np.bincount(self._flow_ch[budget > 0], minlength=self._C)
 
     def _arbitrate_general(self, budget: np.ndarray) -> int:
         """Water-filling closed form of the one-flit-per-visit round robin
@@ -522,10 +479,10 @@ class FastCycleSimulator:
     # ----------------------------------------------------- engine protocol
 
     def tree_done(self, i: int) -> bool:
-        return bool(self._done_mask()[i])
+        return bool(self.trees_done()[i])
 
     def done(self) -> bool:
-        return bool(self._done_mask().all())
+        return bool(self.trees_done().all())
 
     def channels(self) -> List[Tuple[int, int]]:
         return list(self._chs)
@@ -603,7 +560,7 @@ class FastCycleSimulator:
             )
         T = self._T
         completion = [0] * T
-        done = self._done_mask()
+        done = self.trees_done()
         cycle = 0
         tel = self.telemetry
         if tel is not None:
@@ -615,7 +572,7 @@ class FastCycleSimulator:
                 raise RuntimeError(f"simulation exceeded {max_cycles} cycles")
             if tel is not None:
                 tel.on_cycle(self, cycle, moved)
-            now = self._done_mask()
+            now = self.trees_done()
             if moved == 0 and not len(self._pending_fids):
                 if not now.all():
                     pending = [i for i in range(T) if not now[i]]

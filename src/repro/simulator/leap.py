@@ -154,10 +154,9 @@ class LeapCycleSimulator(FastCycleSimulator):
         self._grp_sizes = np.diff(
             np.append(self._grp_off, len(self._child_up_idx))
         ).astype(np.int64)
-        agg_pos = {int(ix): g for g, ix in enumerate(self._grp_agg_idx)}
-        self._avail_grp = np.asarray(
-            [agg_pos.get(int(ix), -1) for ix in self._avail_idx], dtype=np.int64
-        ) if self._F else np.zeros(0, dtype=np.int64)
+        grp_of = np.full(self._flat.size, -1, dtype=np.int64)
+        grp_of[self._grp_agg_idx] = np.arange(len(self._grp_agg_idx))
+        self._avail_grp = grp_of[self._avail_idx]
         self.leap_log: List[Tuple[int, int, int]] = []
         self.stepped_cycles = 0
         self.idle_skipped = 0  # dead-wait cycles fast-forwarded, not stepped
@@ -254,7 +253,7 @@ class LeapCycleSimulator(FastCycleSimulator):
         moving = ok & (g > 0)
         bound = np.where(moving, headroom // np.maximum(g, 1), bound)
         per_tree = bound.max(axis=1)
-        per_tree = np.where(self._done_mask(), _INF_K, per_tree)
+        per_tree = np.where(self.trees_done(), _INF_K, per_tree)
         return max(int(per_tree.min()), 0)
 
     def _license_bounds(
@@ -416,7 +415,7 @@ class LeapCycleSimulator(FastCycleSimulator):
             )
         T = self._T
         completion = [0] * T
-        done = self._done_mask()
+        done = self.trees_done()
         cycle = 0
         tel = self.telemetry
         if tel is not None:
@@ -433,7 +432,7 @@ class LeapCycleSimulator(FastCycleSimulator):
                 raise RuntimeError(f"simulation exceeded {max_cycles} cycles")
             if tel is not None:
                 tel.on_cycle(self, cycle, moved)
-            now = self._done_mask()
+            now = self.trees_done()
             # record completions before any idle fast-forward: a tree whose
             # last flit lands on the very cycle the pipeline goes idle must
             # keep that cycle, not the skip target
@@ -512,7 +511,7 @@ class LeapCycleSimulator(FastCycleSimulator):
             dense.append(self._ch_cum - prev)
             if moved == 0 and not len(self._pending_fids) and not self.done():
                 pending = [
-                    i for i, d in enumerate(self._done_mask()) if not d
+                    i for i, d in enumerate(self.trees_done()) if not d
                 ]
                 skip_to = self._stall_or_skip(cycle, max_cycles, pending)
                 if skip_to > cycle:

@@ -46,6 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.simulator.cycle import CycleStats, default_max_cycles
 from repro.simulator.engine import make_engine
 from repro.simulator.faultsched import FaultSchedule
@@ -120,14 +122,15 @@ class _Tenant:
         self.engine = engine
         self.faults = faults
         self.chs: List[Tuple[int, int]] = engine.channels()
-        self.ch_index = {ch: i for i, ch in enumerate(self.chs)}
-        T = len(placement.tree_ids)
-        self.completion = [0] * T
-        self.done = [engine.tree_done(i) for i in range(T)]
+        self.completion = [0] * len(placement.tree_ids)
+        self.done = np.asarray(engine.trees_done(), dtype=bool)
         self.blocked_cycles = 0
         self.outcome: Optional[TenantOutcome] = None
         self.prev_flits: List[int] = [0] * len(self.chs)
-        self._blocked_this_cycle = False
+        # set by the fabric: its sharer-table row, its flat (position,
+        # column) demand-matrix cells and its local channel index at each
+        self.row = 0
+        self.cells = self.local = np.zeros(0, dtype=np.int64)
 
     @property
     def running(self) -> bool:
@@ -166,9 +169,7 @@ class _Tenant:
 
     def stalled(self, global_cycle: int) -> TenantOutcome:
         eng = self.engine
-        pending = tuple(
-            i for i in range(len(self.done)) if not eng.tree_done(i)
-        )
+        pending = np.flatnonzero(~np.asarray(eng.trees_done(), dtype=bool))
         return TenantOutcome(
             tenant=self.job.tenant,
             arrival=self.job.arrival,
@@ -176,7 +177,7 @@ class _Tenant:
             local_cycles=eng.cycle,
             global_cycle=global_cycle,
             stats=None,
-            stall_pending=pending,
+            stall_pending=tuple(pending.tolist()),
             delivered_floor=tuple(eng.delivered_floor()),
             reduced_at_root=tuple(eng.reduced_at_root()),
             blocked_cycles=self.blocked_cycles,
@@ -254,152 +255,169 @@ class FabricSimulator:
                 faults=fs,
             )
             self._tenants[p.job.tenant] = _Tenant(p, eng, fs)
+        self._order = [self._tenants[tid] for tid in sorted(self._tenants)]
+        self._tids = [t.job.tenant for t in self._order]
 
-        # static sharer lists: directed channel -> tenant ids (ascending)
-        users: Dict[Tuple[int, int], List[int]] = {}
-        for tid in sorted(self._tenants):
-            for ch in self._tenants[tid].chs:
-                users.setdefault(ch, []).append(tid)
-        self.shared: Dict[Tuple[int, int], List[int]] = {
-            ch: tids for ch, tids in users.items() if len(tids) > 1
-        }
-        self._rr: Dict[Tuple[int, int], int] = {ch: 0 for ch in self.shared}
+        # static sharer tables over the directed channels two or more
+        # tenants use (``shared``), in first-appearance order over the
+        # tenants' channel lists (ascending tenant id). A channel's
+        # sharers hold positions 0..k-1 in ascending tenant id: column s
+        # of ``_sh`` lists their tenant rows, and the per-cycle demand
+        # matrix is indexed (position, column)
+        K = len(self._order)
+        sizes = [len(t.chs) for t in self._order]
+        chs = np.asarray(
+            [ch for t in self._order for ch in t.chs], dtype=np.int64
+        ).reshape(-1, 2)
+        owner = np.repeat(np.arange(K), sizes)
+        local = np.arange(len(chs)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        _, first, inv, cnt = np.unique(
+            chs[:, 0] * plan.topology.n + chs[:, 1],
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        shared = np.flatnonzero(cnt > 1)
+        shared = shared[np.argsort(first[shared])]
+        S = len(shared)
+        col = np.full(len(cnt), -1, dtype=np.int64)
+        col[shared] = np.arange(S)
+        col = col[inv.reshape(-1)]
+        use = col >= 0
+        loc = np.full((K, S), -1, dtype=np.int64)  # local channel index
+        loc[owner[use], col[use]] = local[use]
+        self.shared: List[Tuple[int, int]] = [
+            (u, v) for u, v in chs[first[shared]].tolist()
+        ]
+        is_sharer = loc >= 0
+        pos = np.cumsum(is_sharer, axis=0) - 1
+        self._k = is_sharer.sum(axis=0)
+        self._sh = np.zeros((int(self._k.max(initial=1)), S), dtype=np.int64)
+        rows, cols = np.nonzero(is_sharer)
+        self._sh[pos[rows, cols], cols] = rows
+        self._pos = np.arange(len(self._sh))[:, None]
+        self._ptr = np.zeros(S, dtype=np.int64)  # fair-share next position
+        self._demand = np.zeros_like(self._sh)
+        for row, t in enumerate(self._order):
+            cols = np.flatnonzero(is_sharer[row])
+            t.row = row
+            t.cells = pos[row, cols] * S + cols
+            t.local = loc[row, cols]
 
     # ------------------------------------------------------------- stepping
 
     def tenants(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._tenants))
-
-    def _active(self) -> List[_Tenant]:
-        """Tenants taking a step this cycle (arrived, still running)."""
-        return [
-            t
-            for tid, t in sorted(self._tenants.items())
-            if t.running and self.cycle > t.job.arrival
-        ]
-
-    def _pick_winner(self, ch: Tuple[int, int], cands: List[int]) -> Optional[int]:
-        sharers = self.shared[ch]
-        if self.policy == "isolated-slice":
-            # static slots over all placed sharers, demand or not
-            return sharers[self.cycle % len(sharers)]
-        if not cands:
-            return None
-        if self.policy == "strict-priority":
-            return min(cands)
-        # fair-share: next candidate at or after the rotating pointer
-        ptr = self._rr[ch]
-        k = len(sharers)
-        for i in range(k):
-            s = sharers[(ptr + i) % k]
-            if s in cands:
-                self._rr[ch] = (sharers.index(s) + 1) % k
-                return s
-        return None
+        return tuple(self._tids)
 
     def step(self) -> int:
         """Advance one global cycle; returns total flits moved across all
         tenants."""
         self.cycle += 1
-        active = self._active()
-        for t in self._tenants.values():
-            if t.running and self.cycle == t.job.arrival + 1 and t.engine.done():
+        running = np.zeros(len(self._order), dtype=bool)
+        demand = self._demand
+        demand.fill(0)
+        demand_flat = demand.reshape(-1)
+        began = False
+        live: List[Tuple[_Tenant, Any]] = []
+        for t in self._order:
+            if not t.running or self.cycle <= t.job.arrival:
+                continue
+            eng = t.engine
+            if self.cycle == t.job.arrival + 1 and eng.done():
                 # zero-work job (all trees trivially complete): finishes
                 # the moment it arrives, before ever contending
                 t.outcome = t.finished(self.cycle)
-        active = [t for t in active if t.running]
-        if not active:
-            return 0
-
-        budgets: Dict[int, Any] = {}
-        demands: Dict[int, Any] = {}
-        for t in active:
-            b = t.engine.begin_cycle()
-            budgets[t.job.tenant] = b
-            demands[t.job.tenant] = t.engine.channel_demand(b)
-
-        # pre-gate stall detection: all-zero budgets with nothing in
-        # flight and no revival pending is the solo SimulationStalled
-        # fixpoint — gating cannot have caused it
-        still: List[_Tenant] = []
-        for t in active:
-            d = demands[t.job.tenant]
-            if (
-                not any(d)
-                and not t.engine.has_in_flight()
-                # live check: this cycle's landing may have just completed
-                # the last tree with zero budgets left — that is a finish,
-                # not a stall
-                and not all(
-                    done or t.engine.tree_done(i)
-                    for i, done in enumerate(t.done)
-                )
-                and not (
+                continue
+            began = True
+            b = eng.begin_cycle()
+            d = np.asarray(eng.channel_demand(b))
+            # pre-gate stall detection: all-zero budgets with nothing in
+            # flight and no revival pending is the solo SimulationStalled
+            # fixpoint — gating cannot have caused it (the live done read
+            # keeps a landing that just completed the last tree a finish)
+            if not (
+                d.any()
+                or eng.has_in_flight()
+                or eng.done()
+                or (
                     t.faults is not None
-                    and t.faults.next_revival_after(t.engine.cycle) is not None
+                    and t.faults.next_revival_after(eng.cycle) is not None
                 )
             ):
                 t.outcome = t.stalled(self.cycle)
-            else:
-                still.append(t)
-        active = still
+                continue
+            live.append((t, b))
+            running[t.row] = True
+            demand_flat[t.cells] = d[t.local]
+        if not began:
+            return 0
 
-        blocked: Dict[int, List[int]] = {t.job.tenant: [] for t in active}
+        # arbitrate every shared channel at once: ``win`` is the winning
+        # sharer position of each channel the policy decides this cycle
+        cand = demand > 0
+        k = self._k
+        if self.policy == "isolated-slice":
+            # static slots over all placed sharers, demand or not
+            decided = np.ones(len(k), dtype=bool)
+            win = self.cycle % k
+        else:
+            decided = cand.any(axis=0)
+            if self.policy == "strict-priority":
+                win = cand.argmax(axis=0)  # positions ascend by tenant id
+            else:
+                # fair-share: the candidate at the smallest cyclic distance
+                # (p - ptr) mod k from the rotating pointer, unwrapped as
+                # p + k * (p < ptr)
+                pos = self._pos
+                dist = np.where(cand, pos + k * (pos < self._ptr), len(pos) << 1)
+                win = dist.argmin(axis=0)
+                self._ptr = np.where(decided, (win + 1) % k, self._ptr)
+        # losers with demand are gated; gating a channel without demand
+        # would change nothing (no grant, the pointer holds either way)
+        blocked = (cand & (self._pos != win)).reshape(-1)
+
         trace_row: Optional[dict] = None
         if self.record_trace:
-            trace_row = {"cycle": self.cycle, "channels": {}}
-        running_ids = {t.job.tenant for t in active}
-        for ch, sharers in self.shared.items():
-            cands = [
-                tid
-                for tid in sharers
-                if tid in running_ids
-                and demands[tid][self._tenants[tid].ch_index[ch]] > 0
-            ]
-            if not cands and self.policy != "isolated-slice":
-                continue
-            winner = self._pick_winner(ch, cands)
-            for tid in sharers:
-                if tid in running_ids and tid != winner:
-                    ci = self._tenants[tid].ch_index[ch]
-                    blocked[tid].append(ci)
-                    if demands[tid][ci] > 0:
-                        self._tenants[tid]._blocked_this_cycle = True
-            if trace_row is not None:
-                trace_row["channels"][ch] = {
-                    "demand": {
-                        tid: int(demands[tid][self._tenants[tid].ch_index[ch]])
-                        for tid in sharers
-                        if tid in running_ids
-                    },
-                    "winner": winner,
-                }
+            tids, sh = self._tids, self._sh
+            trace_row = {
+                "cycle": self.cycle,
+                "channels": {
+                    self.shared[s]: {
+                        "demand": {
+                            tids[sh[p, s]]: int(demand[p, s])
+                            for p in range(k[s])
+                            if running[sh[p, s]]
+                        },
+                        "winner": tids[sh[win[s], s]],
+                    }
+                    for s in np.flatnonzero(decided)
+                },
+            }
 
         moved_total = 0
-        for t in active:
-            tid = t.job.tenant
-            moved_total += t.engine.finish_cycle(budgets[tid], blocked[tid])
-            if t._blocked_this_cycle:
+        for t, b in live:
+            eng = t.engine
+            gated = blocked[t.cells]
+            moved_total += eng.finish_cycle(b, t.local[gated])
+            if gated.any():
                 t.blocked_cycles += 1
-                t._blocked_this_cycle = False
             if trace_row is not None:
-                flits = t.engine.channel_flit_counts()
+                flits = eng.channel_flit_counts()
                 deltas = {
                     t.chs[i]: flits[i] - t.prev_flits[i]
                     for i in range(len(t.chs))
                     if flits[i] != t.prev_flits[i]
                 }
                 t.prev_flits = flits
-                trace_row.setdefault("moved", {})[tid] = deltas
+                trace_row.setdefault("moved", {})[t.job.tenant] = deltas
             # completion bookkeeping in local cycles; in-flight flits past
             # the last completion never matter, matching the solo run()
             # which stops at the final completion cycle
-            local = t.engine.cycle
-            for i, d in enumerate(t.done):
-                if not d and t.engine.tree_done(i):
-                    t.done[i] = True
-                    t.completion[i] = local
-            if all(t.done):
+            now = np.asarray(eng.trees_done(), dtype=bool)
+            for i in np.flatnonzero(now & ~t.done):
+                t.completion[i] = eng.cycle
+            t.done = now
+            if now.all():
                 t.outcome = t.finished(self.cycle)
         if trace_row is not None:
             self.trace.append(trace_row)

@@ -11,6 +11,7 @@ inter-arrival gaps, geometric message sizes — from an explicit
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -44,6 +45,15 @@ class TenantJob:
     tree_count: int
 
     def __post_init__(self) -> None:
+        # integers only (Python or NumPy): a bool or a float would run
+        # with a silently truncated or shifted meaning
+        for name in ("tenant", "arrival", "m", "tree_count"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise TypeError(
+                    f"{name} must be an integer, got {type(x).__name__} {x!r}"
+                )
+            object.__setattr__(self, name, int(x))
         if self.tenant < 0:
             raise ValueError("tenant id must be >= 0")
         if self.arrival < 0:

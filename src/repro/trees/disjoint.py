@@ -95,6 +95,9 @@ def _max_disjoint_hamiltonian_pairs_cached(q: int) -> Tuple[Pair, ...]:
 
     g = hamiltonian_pair_graph(q)
     matching = nx.max_weight_matching(g, maxcardinality=True)
+    # the blossom run leaves g in reference cycles: emptying it frees its
+    # adjacency now, not at the next full cyclic-GC pass (~1 MB at q=127)
+    g.clear()
     return tuple(sorted(tuple(sorted(e)) for e in matching))
 
 

@@ -16,8 +16,9 @@ into aligned numpy arrays (children, parents, per-vertex depth, canonical
 edge endpoints) and every derived structure — children lists, the depth
 map, the canonical edge set — is built from those arrays rather than by
 per-node dict walks. The arrays are also the fast-path inputs Algorithm 1
-consumes (:meth:`SpanningTree.edge_endpoints`), so the whole planner reads
-tree structure without re-deriving it.
+consumes (:meth:`SpanningTree.edge_endpoints`) and the cycle engines build
+their flow tables from (:meth:`SpanningTree.parent_arrays`), so neither
+the planner nor an engine re-derives tree structure.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ class SpanningTree:
         "_edges",
         "_verts",       # sorted vertex ids (int64)
         "_depths",      # depth aligned with _verts (int64)
+        "_child",       # parent-map keys / values, insertion order (int64)
+        "_par",
         "_edge_lo",     # canonical edge endpoints, insertion order (int64)
         "_edge_hi",
         "_validated",   # the Graph this tree last validated cleanly against
@@ -125,6 +128,9 @@ class SpanningTree:
             )
         self._verts = verts
         self._depths = depths
+        for a in (child, par):
+            a.setflags(write=False)
+        self._child, self._par = child, par
         self._edge_lo = np.minimum(child, par)
         self._edge_hi = np.maximum(child, par)
         self._edges: Optional[FrozenSet[Edge]] = None  # built on first access
@@ -155,6 +161,12 @@ class SpanningTree:
         indexes; treat as read-only.
         """
         return self._edge_lo, self._edge_hi
+
+    def parent_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The parent map as aligned read-only ``(child, parent)`` int64
+        arrays, in the map's insertion order (the cycle engines' flow
+        order)."""
+        return self._child, self._par
 
     def _children_map(self) -> Dict[int, List[int]]:
         if self._children is None:

@@ -302,7 +302,7 @@ def placement_modes():
 
 
 def tenant_mixes(max_tenants: int = 4, max_m: int = 16, max_arrival: int = 24,
-                 max_tree_count: int = 3):
+                 max_tree_count: int = 3, min_tenants: int = 1):
     """Strategy over abstract tenant job mixes: non-empty tuples of
     ``(arrival, m, tree_count)`` — plan-independent (tree counts may
     exceed a small plan's pool; :func:`materialize_jobs` clamps them)."""
@@ -311,7 +311,7 @@ def tenant_mixes(max_tenants: int = 4, max_m: int = 16, max_arrival: int = 24,
         st.integers(min_value=1, max_value=max_m),
         st.integers(min_value=1, max_value=max_tree_count),
     )
-    return st.lists(job, min_size=1, max_size=max_tenants).map(tuple)
+    return st.lists(job, min_size=min_tenants, max_size=max_tenants).map(tuple)
 
 
 def materialize_jobs(mix, num_trees: int, mode: str = "shared"):

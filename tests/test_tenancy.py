@@ -123,6 +123,34 @@ class TestAdmission:
             place_jobs(Q, jobs)
 
 
+class TestTenantJobValidation:
+    """Job fields are integers (Python or NumPy); bools and floats raise
+    ``TypeError`` instead of running with a silently changed meaning."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tenant", True),
+            ("arrival", True),
+            ("arrival", 1.5),
+            ("m", 2.5),
+            ("m", 64.0),
+            ("tree_count", "2"),
+        ],
+    )
+    def test_rejects_non_integers(self, field, value):
+        args = dict(tenant=0, arrival=1, m=64, tree_count=1)
+        args[field] = value
+        with pytest.raises(TypeError, match=field):
+            TenantJob(**args)
+
+    def test_accepts_numpy_integers_as_ints(self):
+        job = TenantJob(np.int64(3), np.int32(2), np.uint16(64), np.int8(1))
+        assert job == TenantJob(3, 2, 64, 1)
+        fields = (job.tenant, job.arrival, job.m, job.tree_count)
+        assert all(type(x) is int for x in fields)
+
+
 class TestDeterminism:
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds(), k=st.integers(min_value=1, max_value=6))
