@@ -9,24 +9,22 @@ slowdown quantiles versus the fault-free run, and per-lane records.
 
 Sampling is a single :func:`numpy.random.default_rng` stream consumed
 *before* any simulation, so the ensemble is a pure function of
-``(seed, k, ...)`` — the ``engine`` argument only chooses how the same
-lanes are evaluated (``"batched"`` in chunks of ``chunk`` lanes, or
-``"fast"`` one serial run per lane).  The two evaluators are
-bit-identical per lane (the batched engine's differential guarantee), so
-summary statistics cannot depend on the engine; ``tests/test_faults.py``
-re-checks this on a 1k-lane ensemble.
+``(seed, k, ...)``; ``chunk`` only sets how many lanes share one batched
+run.  Every lane is bit-identical to a serial ``engine="fast"`` run
+(the lane runner's differential guarantee), and ``tests/test_faults.py``
+re-checks a 1k-lane ensemble against exactly that serial loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.recovery import used_links
 from repro.core import get_plan
-from repro.simulator import SimulationStalled, make_engine
+from repro.simulator import make_engine
 from repro.simulator.batched import BatchedCycleSimulator, LaneSpec
 from repro.simulator.faultsched import FaultSchedule
 
@@ -44,7 +42,6 @@ class MonteCarloResult:
     m: int
     k: int
     seed: int
-    engine: str
     clean_cycles: int
     lanes: Tuple[Dict[str, Any], ...]  # per-lane: schedule + outcome
     stall_rate: float
@@ -55,7 +52,7 @@ class MonteCarloResult:
         qs = self.slowdown_quantiles
         lines = [
             f"fault monte carlo: q={self.q} scheme={self.scheme} m={self.m} "
-            f"k={self.k} seed={self.seed} engine={self.engine}",
+            f"k={self.k} seed={self.seed}",
             f"  clean run: {self.clean_cycles} cycles",
             f"  stalled: {sum(1 for l in self.lanes if l['stalled'])}/{self.k} "
             f"lanes (rate {self.stall_rate:.3f})",
@@ -108,7 +105,6 @@ def fault_monte_carlo(
     transient_fraction: float = 0.5,
     down_window: Tuple[int, int] = (1, 20),
     outage_window: Tuple[int, int] = (2, 20),
-    engine: str = "batched",
     chunk: int = 512,
 ) -> MonteCarloResult:
     """Sample ``k`` random fault schedules and measure the degradation.
@@ -116,15 +112,9 @@ def fault_monte_carlo(
     ``num_faults`` distinct tree-carrying links fail per sample, each at
     a cycle uniform in ``down_window``; with probability
     ``transient_fraction`` the link revives after an outage uniform in
-    ``outage_window``, else the failure is permanent.  ``engine``
-    selects the evaluator only — ``"batched"`` runs ``chunk`` lanes per
-    tensor invocation, ``"fast"`` loops serial runs — and the per-lane
-    results are identical either way.
+    ``outage_window``, else the failure is permanent.  The lanes run
+    ``chunk`` at a time through the batched lane runner.
     """
-    if engine not in ("batched", "fast"):
-        raise ValueError(
-            f"fault_monte_carlo evaluates on 'batched' or 'fast', got {engine!r}"
-        )
     if k < 1:
         raise ValueError("k must be >= 1 samples")
     if chunk < 1:
@@ -139,53 +129,27 @@ def fault_monte_carlo(
         links, k, seed, num_faults, transient_fraction, down_window,
         outage_window,
     )
-    flits = (int(m),) * plan.num_trees
+    flits = (m,) * plan.num_trees  # validated by the engines, not truncated
     clean = make_engine("fast", plan.topology, plan.trees, flits).run()
 
     lanes: List[Dict[str, Any]] = []
-
-    def _record(sched: FaultSchedule, status: str, cycles: Optional[int],
-                stall_cycle: Optional[int], pending: Tuple[int, ...]) -> None:
-        rec: Dict[str, Any] = {
-            "faults": [
-                [list(e.edge), e.down, e.up] for e in sched.events
-            ],
-            "stalled": status == "stalled",
-        }
-        if status == "done":
-            rec["cycles"] = int(cycles)
-            rec["slowdown"] = (
-                cycles / clean.cycles if clean.cycles else 0.0
-            )
-        else:
-            rec["stall_cycle"] = int(stall_cycle)
-            rec["pending"] = [int(t) for t in pending]
-        lanes.append(rec)
-
-    if engine == "batched":
-        for lo in range(0, k, chunk):
-            specs = [
-                LaneSpec(flits, faults=s) for s in schedules[lo:lo + chunk]
-            ]
-            sim = BatchedCycleSimulator(plan.topology, plan.trees, lanes=specs)
-            for out, sched in zip(sim.run_batch(), schedules[lo:lo + chunk]):
-                if out.status == "exceeded":
-                    out.result()  # propagate the serial RuntimeError
-                if out.status == "done":
-                    _record(sched, "done", out.stats.cycles, None, ())
-                else:
-                    _record(sched, "stalled", None, out.stall_cycle,
-                            out.stall_pending)
-    else:
-        for sched in schedules:
-            try:
-                stats = make_engine(
-                    "fast", plan.topology, plan.trees, flits, faults=sched
-                ).run()
-            except SimulationStalled as e:
-                _record(sched, "stalled", None, e.cycle, tuple(e.pending))
+    for lo in range(0, k, chunk):
+        batch = schedules[lo:lo + chunk]
+        specs = [LaneSpec(flits, faults=sched) for sched in batch]
+        sim = BatchedCycleSimulator(plan.topology, plan.trees, specs)
+        for out, sched in zip(sim.run_batch(), batch):
+            rec: Dict[str, Any] = {
+                "faults": [[list(e.edge), e.down, e.up] for e in sched.events],
+                "stalled": out.status == "stalled",
+            }
+            if rec["stalled"]:
+                rec["stall_cycle"] = int(out.stall_cycle)
+                rec["pending"] = [int(t) for t in out.stall_pending]
             else:
-                _record(sched, "done", stats.cycles, None, ())
+                cycles = out.result().cycles  # raises a guard overrun
+                rec["cycles"] = int(cycles)
+                rec["slowdown"] = cycles / clean.cycles if clean.cycles else 0.0
+            lanes.append(rec)
 
     stalls = sum(1 for rec in lanes if rec["stalled"])
     slowdowns = [rec["slowdown"] for rec in lanes if not rec["stalled"]]
@@ -206,7 +170,6 @@ def fault_monte_carlo(
         m=int(m),
         k=k,
         seed=seed,
-        engine=engine,
         clean_cycles=clean.cycles,
         lanes=tuple(lanes),
         stall_rate=stalls / k,

@@ -7,15 +7,15 @@ in a JSON-representable cell, returning a plain-dict summary with
 deterministic key order and pure-python values, so cached entries are
 byte-stable.
 
-The shape is deliberately what the batched engine
+The shape is deliberately what the batched lane runner
 (:mod:`repro.simulator.batched`) can stack: every cell of a grid over
 ``m`` / ``buffer_size`` / ``link_capacity`` / ``faults`` at a fixed
 ``(q, scheme)`` shares one topology and tree plan and differs only in
 per-lane knobs.  :func:`sim_point_group_key` and :func:`sim_point_batch`
-are the :data:`repro.sweep.batching.BATCHERS` hooks that exploit this:
-compatible cells become one :meth:`~repro.simulator.batched.
+are what the sweep runner (:mod:`repro.sweep.batching`) uses to exploit
+this: compatible cells become one :meth:`~repro.simulator.batched.
 BatchedCycleSimulator.run_batch` call whose per-lane results are
-bit-identical to calling :func:`sim_point` per cell (the engine's
+bit-identical to calling :func:`sim_point` per cell (the runner's
 differential guarantee), so the sweep cache cannot tell the routes apart.
 
 A stalled run is *data*, not an error (``{"stalled": True, ...}``) — fault
@@ -43,20 +43,14 @@ FaultsParam = Optional[Sequence[Sequence[Any]]]
 def _fault_schedule(faults: FaultsParam) -> Optional[FaultSchedule]:
     if not faults:
         return None
-    events = []
-    for win in faults:
-        (u, v), down, up = win
-        events.append(((int(u), int(v)), int(down), None if up is None else int(up)))
-    return FaultSchedule(events)
+    return FaultSchedule([((int(u), int(v)), down, up) for (u, v), down, up in faults])
 
 
 def _lane(plan, m: Union[int, Sequence[int]], link_capacity: int,
           buffer_size: Optional[int], faults: FaultsParam) -> LaneSpec:
-    if isinstance(m, (list, tuple)):
-        flits: Tuple[int, ...] = tuple(int(x) for x in m)
-    else:
-        flits = (int(m),) * plan.num_trees
-    return LaneSpec(flits, int(link_capacity), buffer_size, _fault_schedule(faults))
+    """The cell's knobs as a validated lane (no silent truncation)."""
+    flits = tuple(m) if isinstance(m, (list, tuple)) else (m,) * plan.num_trees
+    return LaneSpec(flits, link_capacity, buffer_size, _fault_schedule(faults))
 
 
 def _done_dict(stats: CycleStats) -> Dict[str, Any]:
@@ -121,16 +115,15 @@ def sim_point(
     return _done_dict(stats)
 
 
-def sim_point_group_key(kwargs: Dict[str, Any]) -> Tuple[Any, ...]:
-    """Cells that may share one batched call: same plan, batchable engine.
+def sim_point_group_key(kwargs: Dict[str, Any]) -> Optional[Tuple[Any, ...]]:
+    """Cells that may share one batched call: same plan, ``fast`` engine.
 
-    Only ``engine="fast"`` and ``engine="batched"`` cells are grouped —
-    the batched engine is differentially proven bit-identical to ``fast``
-    per lane, so routing either through ``run_batch`` cannot change a
-    byte of the cached result.  Other engines stay on the serial path.
+    Only ``engine="fast"`` cells are grouped — the lane runner is
+    differentially proven bit-identical to ``fast`` per lane, so routing
+    them through ``run_batch`` cannot change a byte of the cached result.
+    Other engines stay on the serial path.
     """
-    engine = kwargs.get("engine", "fast")
-    if engine not in ("fast", "batched"):
+    if kwargs.get("engine", "fast") != "fast":
         return None
     return (kwargs["q"], kwargs.get("scheme", "low-depth"))
 
@@ -154,7 +147,7 @@ def sim_point_batch(cells_kwargs: Sequence[Dict[str, Any]]) -> List[Dict[str, An
         )
         for kw in cells_kwargs
     ]
-    sim = BatchedCycleSimulator(plan.topology, plan.trees, lanes=lanes)
+    sim = BatchedCycleSimulator(plan.topology, plan.trees, lanes)
     return [_outcome_dict(out) for out in sim.run_batch()]
 
 

@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("low-depth", "edge-disjoint", "single"))
     s.add_argument("-m", type=int, default=600, help="total flits")
     s.add_argument("--engine", default="leap",
-                   choices=("reference", "fast", "leap", "batched"),
+                   choices=("reference", "fast", "leap"),
                    help="cycle engine (leap: O(events) wall clock, "
                         "cycle-exact; default)")
     s.add_argument("--buffer", type=int, default=None, metavar="SLOTS",
@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         "montecarlo",
         help="fault Monte Carlo: k random failure schedules in one batch",
         description="Sample k random link-failure schedules over the plan's "
-        "tree-carrying links and run them as lanes of the batched tensor "
-        "engine (bit-identical per lane to serial fast-engine runs); prints "
+        "tree-carrying links and run them as lanes of the batched lane "
+        "runner (bit-identical per lane to serial fast-engine runs); prints "
         "the fault-free baseline, stall rate and completion-slowdown "
         "quantiles.",
     )
@@ -150,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="distinct links failing per sample (default 1)")
     s.add_argument("--transient-fraction", type=float, default=0.5,
                    help="probability a failure revives (default 0.5)")
-    s.add_argument("--engine", default="batched",
-                   choices=("batched", "fast"),
-                   help="evaluator; per-lane results are identical either way")
     s.add_argument("--chunk", type=int, default=512,
                    help="lanes per batched invocation (default 512)")
 
@@ -444,7 +441,6 @@ def _cmd_montecarlo(args) -> int:
         seed=args.seed,
         num_faults=args.num_faults,
         transient_fraction=args.transient_fraction,
-        engine=args.engine,
         chunk=args.chunk,
     )
     print(result.render())

@@ -12,9 +12,10 @@ Three fidelities, all exercising the Section 4.3/4.4 dataflow:
   twin (``engine="fast"``, the default of ``simulate_allreduce``),
   :mod:`repro.simulator.leap` the cycle-leaping engine
   (``engine="leap"``) whose ``run()`` is O(depth + #events) in wall
-  clock, independent of message size, while staying cycle-exact, and
-  :mod:`repro.simulator.batched` advances many independent lanes in one
-  tensor (``engine="batched"``);
+  clock, independent of message size, while staying cycle-exact.  These
+  three are the cycle engines; :mod:`repro.simulator.batched` is the lane
+  runner that advances many independent ``fast`` runs over one plan in
+  one tensor (fault ensembles and sweep grids);
 - :mod:`repro.simulator.fluid` — closed-form max-min rate model for large
   configurations.
 

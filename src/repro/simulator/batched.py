@@ -1,11 +1,15 @@
-"""Batched tensor engine — B independent runs in one ``(B, 4, T, n)`` state.
+"""Batched lane runner — B independent runs in one ``(B, 4, T, n)`` state.
 
 Sweep grids and fault Monte Carlo simulate the *same* topology and tree
 plan thousands of times, varying only the scalar knobs (message split,
 buffer size, link capacity) and the fault schedule.  Running those lanes
 one :class:`~repro.simulator.fastcycle.FastCycleSimulator` at a time pays
-the full per-cycle Python/NumPy dispatch overhead B times; this engine
-stacks the lanes along a batch axis and advances *all* of them per cycle:
+the full per-cycle Python/NumPy dispatch overhead B times; this runner
+stacks the lanes along a batch axis and advances *all* of them per cycle.
+It is not a fourth cycle engine: its two callers are
+:func:`~repro.analysis.montecarlo.fault_monte_carlo` and the
+``sim_point`` sweep grid (:mod:`repro.sweep.batching`), and a single run
+is always faster on ``engine="fast"``.
 
 - the fast engine's flat ``(4, T, n)`` state tensor grows a lane axis;
   every per-flow gather/scatter reuses the fast engine's precomputed
@@ -18,15 +22,14 @@ stacks the lanes along a batch axis and advances *all* of them per cycle:
 - budgets (availability minus credit debt) are computed from the same
   start-of-cycle snapshot the serial engines use; lanes without credit
   flow control ride along with an effectively-infinite buffer sentinel;
-- arbitration is the fast engine's closed forms with a lane axis.  For
-  the all-capacities-1 case the cyclic offset is *unwrapped* instead of
-  reduced: ``slot + k*(slot < rr)`` orders a channel's slots identically
-  to ``(slot - rr) % k`` (it is that offset plus the per-channel
-  constant ``rr``), so the packed per-flow keys are two precomputed
-  constants selected by one comparison — no per-cycle modulo — and the
-  segmented min is a scatter into a ``(C, K, B)`` padded buffer plus one
-  vectorized axis-min (several times faster than ``reduceat``).  The
-  general-capacity path is the fast engine's water-filling transposed;
+- for the all-capacities-1 case the cyclic offset is *unwrapped* instead
+  of reduced: ``slot + k*(slot < rr)`` orders a channel's slots
+  identically to ``(slot - rr) % k`` (it is that offset plus the
+  per-channel constant ``rr``), so the packed per-flow keys are two
+  precomputed constants selected by one comparison — no per-cycle modulo
+  — and the segmented min is a scatter into a ``(C, K, B)`` padded buffer
+  plus one vectorized axis-min.  Any capacity > 1 runs the fast engine's
+  lane-axis water filling (:func:`~repro.simulator.fastcycle.water_fill`);
 - per-lane :class:`~repro.simulator.faultsched.FaultSchedule` masks are
   rebuilt lazily, only at lanes whose schedule changes at this cycle;
 - per-lane completion / stall / max-cycles detection freezes finished
@@ -45,16 +48,15 @@ Every lane is **bit-identical** to a serial ``engine="fast"`` run with
 the same knobs — same :class:`~repro.simulator.cycle.CycleStats` (down to
 float utilization), same :class:`~repro.simulator.cycle.SimulationStalled`
 cycle and pending set, same ``RuntimeError`` guard cycle — enforced by
-``tests/test_batched_equivalence.py`` and the differential suite.
-
-Telemetry is **not supported** in v1: collectors observe one engine's
-per-cycle state and the batch axis has no serial equivalent to hook;
-passing ``telemetry`` raises ``ValueError`` up front.
+``tests/test_batched_equivalence.py`` and, against the reference oracle,
+by the differential suites.  Telemetry has no batch equivalent and is not
+offered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,9 +65,17 @@ from repro.simulator.cycle import (
     CycleStats,
     SimulationStalled,
     check_flit_counts,
+    check_positive_int,
     default_max_cycles,
 )
-from repro.simulator.fastcycle import _AGG, _BCD, _INF, FastCycleSimulator
+from repro.simulator.fastcycle import (
+    _AGG,
+    _BCD,
+    _INF,
+    FastCycleSimulator,
+    fold_stats,
+    water_fill,
+)
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
@@ -94,9 +104,11 @@ class LaneSpec:
     faults: Optional[FaultSchedule] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "flits_per_tree", tuple(check_flit_counts(self.flits_per_tree))
-        )
+        fix = partial(object.__setattr__, self)
+        fix("flits_per_tree", tuple(check_flit_counts(self.flits_per_tree)))
+        fix("link_capacity", check_positive_int(self.link_capacity, "link capacity"))
+        if self.buffer_size is not None:
+            fix("buffer_size", check_positive_int(self.buffer_size, "buffer size"))
 
 
 @dataclass(frozen=True)
@@ -139,50 +151,18 @@ class LaneOutcome:
 class BatchedCycleSimulator:
     """B independent Allreduce runs advanced together, cycle-exact per lane.
 
-    Construct either like the other engines (one lane from the scalar
-    arguments, making it a drop-in :class:`CycleEngine` for
-    ``make_engine`` / ``simulate_allreduce`` / ``trace_allreduce``) or
-    with ``lanes=[LaneSpec(...), ...]`` for a real batch, then call
-    :meth:`run_batch` for the per-lane :class:`LaneOutcome` list.
-
-    The single-run :class:`CycleEngine` protocol surface (``step`` /
-    ``done`` / ``channels`` / ... / ``run``) observes **lane 0**; ``run``
-    refuses multi-lane batches and points at :meth:`run_batch`.
+    Build with the shared topology and trees plus one :class:`LaneSpec`
+    per run, then call :meth:`run_batch` for the per-lane
+    :class:`LaneOutcome` list (:meth:`run` is its serial-contract form for
+    a one-lane batch).
     """
-
-    engine_name = "batched"
 
     def __init__(
         self,
         g: Graph,
         trees: Sequence[SpanningTree],
-        flits_per_tree: Optional[Sequence[int]] = None,
-        link_capacity: int = 1,
-        buffer_size: Optional[int] = None,
-        faults: Optional[FaultSchedule] = None,
-        telemetry=None,
-        lanes: Optional[Sequence[LaneSpec]] = None,
+        lanes: Sequence[LaneSpec],
     ):
-        if telemetry is not None:
-            raise ValueError(
-                "the batched engine does not support telemetry (v1): "
-                "collectors observe one run's per-cycle state, which has "
-                "no batch equivalent; use engine='fast' (or 'reference'/"
-                "'leap') for telemetry runs"
-            )
-        if lanes is not None and flits_per_tree is not None:
-            raise ValueError("pass flits_per_tree (one lane) or lanes, not both")
-        if lanes is None:
-            if flits_per_tree is None:
-                raise ValueError("pass flits_per_tree (one lane) or lanes")
-            lanes = [
-                LaneSpec(
-                    tuple(flits_per_tree),
-                    link_capacity,
-                    buffer_size,
-                    faults if faults else None,
-                )
-            ]
         self.lanes: List[LaneSpec] = list(lanes)
         if not self.lanes:
             raise ValueError("a batched run needs at least one lane")
@@ -192,7 +172,6 @@ class BatchedCycleSimulator:
         # flow order, flat state indices, reduceat groups, channel slots
         tmpl = FastCycleSimulator(g, trees, [0] * len(trees))
         self._tmpl = tmpl
-        self.g = g
         self.n = g.n
         self.trees = tmpl.trees
         T = tmpl._T
@@ -204,8 +183,7 @@ class BatchedCycleSimulator:
 
         B = len(self.lanes)
         self._B = B
-        k_max = int(tmpl._ch_k.max()) if C else 1
-        self._K = k_max
+        k_max = self._K = tmpl._K
         m_cap = min(_M_MAX, (1 << 30) // k_max)
         for lane in self.lanes:
             if len(lane.flits_per_tree) != T:
@@ -216,15 +194,9 @@ class BatchedCycleSimulator:
                     f"must stay below {m_cap}; use a serial engine for "
                     f"larger messages"
                 )
-            if lane.link_capacity < 1:
-                raise ValueError("link capacity must be >= 1 flit/cycle")
             if lane.link_capacity >= (1 << 15):
                 raise ValueError("batched engine int32 headroom: link "
                                  "capacity must stay below 2**15")
-            if lane.buffer_size is not None and lane.buffer_size < 1:
-                raise ValueError(
-                    "buffer size must be >= 1 slot (or None for infinite)"
-                )
             if lane.faults is not None:
                 lane.faults.validate_against(g)
         if F * (2 * k_max + 1) >= (1 << 31):  # pragma: no cover - giant graphs
@@ -233,12 +205,6 @@ class BatchedCycleSimulator:
                 "arbitration keys; use a serial engine"
             )
 
-        # lane-0 view of the scalar engine attributes (CycleEngine surface)
-        self.m = list(self.lanes[0].flits_per_tree)
-        self.capacity = self.lanes[0].link_capacity
-        self.buffer_size = self.lanes[0].buffer_size
-        self.faults = self.lanes[0].faults
-        self.telemetry = None
         self.cycle = 0
 
         # unwrapped-key constants for the capacity-1 closed form:
@@ -349,16 +315,16 @@ class BatchedCycleSimulator:
             nxt = sched.next_event_after(self.cycle)
             self._next_change[b] = _NO_EVENT if nxt is None else nxt
 
-    def step(self) -> int:
-        """Advance every live lane one cycle; returns total flits moved
-        across the batch."""
+    def _step(self) -> None:
+        """Advance every live lane one cycle (``_last_moved`` holds each
+        lane's flits moved)."""
         self.cycle += 1
         if self._have_faults:
             self._refresh_fault_masks()
         # 1. land last cycle's in-flight flits (one-cycle hop latency);
         # _land_idx is unique per flow, so the fancy += never collides
         if self._F == 0:
-            return 0
+            return
         self._flat2[self._tmpl._land_idx] += self._pending
         self._pending[:] = 0
         self._refresh_agg()
@@ -391,7 +357,6 @@ class BatchedCycleSimulator:
             self._arbitrate_single(budget)
         else:
             self._arbitrate_general(budget)
-        return int(self._last_moved.sum())
 
     def _arbitrate_single(self, budget: np.ndarray) -> None:
         """All-lanes-capacity-1 round robin: per (lane, channel), grant
@@ -427,63 +392,16 @@ class BatchedCycleSimulator:
         self._flits_moved += self._last_moved
 
     def _arbitrate_general(self, budget: np.ndarray) -> None:
-        """Per-lane-capacity water filling: T complete round-robin passes
-        plus R extras by cyclic rank, batched over lanes (lane axis last)."""
+        """Per-lane-capacity water filling (the fast engine's closed form,
+        run over the whole lane axis)."""
         t = self._tmpl
-        Bm = np.where(t._ch_valid[:, :, None], budget[t._ch_fid], 0)
-        Bm = Bm.astype(np.int64)
-        np.maximum(Bm, 0, out=Bm)
-        tot = Bm.sum(axis=1)  # (C, B)
-        cap = self._cap.astype(np.int64)
-        S = np.minimum(tot, cap[None, :])
-
-        T_arr = np.zeros_like(S)
-        base = np.zeros_like(S)
-        for p in range(1, int(self._cap.max()) + 1):
-            s = np.minimum(Bm, p).sum(axis=1)
-            ok = (s <= S) & (p <= cap[None, :])
-            T_arr[ok] = p
-            base[ok] = s[ok]
-        R = S - base
-
-        grants = np.minimum(Bm, T_arr[:, None, :])
-        jpos = (
-            t._pos.reshape(1, -1, 1) - self._rr[:, None, :]
-        ) % t._ch_k[:, None, None]
-        want_extra = (Bm > T_arr[:, None, :]) & t._ch_valid[:, :, None]
-        if want_extra.any():
-            # rank of each candidate among candidates, in cyclic order
-            rank = (
-                want_extra[:, None, :, :]
-                & (jpos[:, None, :, :] < jpos[:, :, None, :])
-            ).sum(axis=2)
-            extra = want_extra & (rank < R[:, None, :])
-            grants += extra
-        else:
-            extra = want_extra
-
-        # rotating pointer: one past the last grant of the cycle
-        has_extra = extra.any(axis=1)
-        j_extra = np.where(extra, jpos, -1).max(axis=1, initial=-1)
-        last_pass = grants.max(axis=1, initial=0)
-        j_pass = np.where(
-            (Bm >= last_pass[:, None, :])
-            & t._ch_valid[:, :, None]
-            & (last_pass[:, None, :] > 0),
-            jpos,
-            -1,
-        ).max(axis=1, initial=-1)
-        j_last = np.where(has_extra, j_extra, j_pass)
-        self._rr = np.where(
-            S > 0, (self._rr + j_last + 1) % t._ch_k[:, None], self._rr
-        ).astype(np.int32)
-
+        flat, rr, S = water_fill(t, budget, self._rr, self._cap)
+        self._rr = rr.astype(np.int32)
         self._last_moved = S.sum(axis=0)
         if self._last_moved.any():
-            flat = grants[t._ch_valid]  # (F, B) in _flat_fids order
             self._pending[t._flat_fids] = flat
             self._sent[t._flat_fids] += flat.astype(np.int32)
-            self._ch_cum += grants.sum(axis=1).astype(np.int32)
+            self._ch_cum += S.astype(np.int32)
             self._flits_moved += self._last_moved
 
     # ----------------------------------------------------------- batch runs
@@ -525,23 +443,12 @@ class BatchedCycleSimulator:
 
     def _finish_lane(self, b: int, completion_col: np.ndarray) -> LaneOutcome:
         """Fold lane ``b`` into the CycleStats the fast engine would have
-        returned — pure-python ints/floats so pickles are byte-identical."""
+        returned."""
         lane = self.lanes[int(self._orig[b])]
-        completion = [int(c) for c in completion_col]
-        total = max(completion) if completion else 0
-        loads = [int(c) for c in self._ch_cum[:, b] if c > 0]
-        denom = total * lane.link_capacity
-        stats = CycleStats(
-            cycles=total,
-            tree_completion=tuple(completion),
-            flits_per_tree=tuple(lane.flits_per_tree),
-            link_capacity=lane.link_capacity,
-            flits_moved=int(self._flits_moved[b]),
-            buffer_size=lane.buffer_size,
-            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
-            mean_channel_utilization=(
-                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
-            ),
+        stats = fold_stats(
+            [int(c) for c in completion_col], lane.flits_per_tree,
+            lane.link_capacity, int(self._flits_moved[b]), lane.buffer_size,
+            self._ch_cum[:, b],
         )
         return LaneOutcome(index=int(self._orig[b]), stats=stats)
 
@@ -587,7 +494,7 @@ class BatchedCycleSimulator:
                 maxc = maxc[keep]
                 completion = np.ascontiguousarray(completion[:, keep])
                 done = np.ascontiguousarray(done[:, keep])
-            self.step()
+            self._step()
             cycle += 1
             moved = self._last_moved
             # guard first: the serial run raises before it would have
@@ -629,80 +536,7 @@ class BatchedCycleSimulator:
         Multi-lane batches must use :meth:`run_batch`."""
         if len(self.lanes) != 1:
             raise ValueError(
-                f"run() is the single-run protocol; this batch has "
-                f"{len(self.lanes)} lanes — use run_batch() for per-lane "
-                f"outcomes"
+                f"run() needs a one-lane batch, this one has {len(self.lanes)} "
+                f"lanes; use run_batch() for per-lane outcomes"
             )
         return self.run_batch(max_cycles)[0].result()
-
-    # ---------------------------------------------- engine protocol (lane 0)
-
-    @property
-    def flits_moved(self) -> int:
-        return int(self._flits_moved[0])
-
-    def tree_done(self, i: int) -> bool:
-        if self.lanes[int(self._orig[0])].flits_per_tree[i] == 0:
-            return True
-        return bool(self._done_mask_batch()[i, 0])
-
-    def done(self) -> bool:
-        return bool(self._done_mask_batch()[:, 0].all())
-
-    def channels(self) -> List[Tuple[int, int]]:
-        return list(self._tmpl._chs)
-
-    def channel_flit_counts(self) -> List[int]:
-        return [int(x) for x in self._ch_cum[:, 0]]
-
-    def has_in_flight(self) -> bool:
-        return bool(self._pending[:, 0].any())
-
-    def delivered_floor(self) -> List[int]:
-        if not self._T:
-            return []
-        floor = self._state[_BCD, :, :, 0].min(axis=1)  # roots pinned at _INF
-        return [int(min(f, mi)) for f, mi in zip(floor, self._m_arr[:, 0])]
-
-    def reduced_at_root(self) -> List[int]:
-        if not self._T:
-            return []
-        agg = self._flat2[self._tmpl._agg_root_idx, 0]
-        return [int(min(a, mi)) for a, mi in zip(agg, self._m_arr[:, 0])]
-
-    def _consumed_now(self) -> np.ndarray:
-        """Lane-0 per-flow consumed counters against the current state
-        (reference ``_consumed_now`` semantics, fast-engine layout)."""
-        t = self._tmpl
-        sent = np.ascontiguousarray(self._sent[:, 0])
-        if len(t._grp_off):
-            bcm = np.minimum.reduceat(sent[t._child_bcfid], t._grp_off)
-        else:
-            bcm = np.zeros(0, dtype=np.int32)
-        return np.where(
-            t._cons_from_sent,
-            sent[t._cons_sent_fid],
-            np.where(
-                t._cons_grp >= 0,
-                bcm[np.maximum(t._cons_grp, 0)] if bcm.size else np.int32(0),
-                self._flat2[t._cons_state_idx, 0],
-            ),
-        )
-
-    def queue_occupancy(self) -> List[int]:
-        if self._F == 0:
-            return [0] * self.n
-        outstanding = self._sent[:, 0] - self._consumed_now()
-        out = np.zeros(self.n, dtype=np.int64)
-        np.add.at(out, self._tmpl._flow_dst, outstanding)
-        return [int(x) for x in out]
-
-    def phase_flit_totals(self) -> Tuple[List[int], List[int]]:
-        red = np.zeros(self._T, dtype=np.int64)
-        bc = np.zeros(self._T, dtype=np.int64)
-        if self._F:
-            up = self._tmpl._flow_is_reduce
-            sent = self._sent[:, 0]
-            np.add.at(red, self._tmpl._flow_tree[up], sent[up])
-            np.add.at(bc, self._tmpl._flow_tree[~up], sent[~up])
-        return [int(x) for x in red], [int(x) for x in bc]

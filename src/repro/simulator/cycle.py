@@ -60,6 +60,7 @@ __all__ = [
     "simulate_allreduce",
     "default_max_cycles",
     "check_flit_counts",
+    "check_positive_int",
 ]
 
 REDUCE = "reduce"
@@ -116,6 +117,20 @@ def check_flit_counts(
     if any(x < 0 for x in out):
         raise ValueError("flit counts must be non-negative")
     return out
+
+
+def check_positive_int(value: int, what: str) -> int:
+    """Validate a link capacity or credit buffer size (every cycle engine
+    and :class:`~repro.simulator.batched.LaneSpec`): an integer, Python or
+    NumPy (``bool`` and non-integral values raise ``TypeError``), at least
+    1 (``ValueError``).  Returns a plain int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(
+            f"{what} must be an integer, got {type(value).__name__} {value!r}"
+        )
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+    return int(value)
 
 
 def default_max_cycles(
@@ -219,10 +234,9 @@ class CycleSimulator:
         telemetry=None,
     ):
         m = check_flit_counts(flits_per_tree, len(trees))
-        if link_capacity < 1:
-            raise ValueError("link capacity must be >= 1 flit/cycle")
-        if buffer_size is not None and buffer_size < 1:
-            raise ValueError("buffer size must be >= 1 slot (or None for infinite)")
+        capacity = check_positive_int(link_capacity, "link capacity")
+        if buffer_size is not None:
+            buffer_size = check_positive_int(buffer_size, "buffer size")
         for t in trees:
             t.validate(g)
         if faults is not None:
@@ -230,7 +244,7 @@ class CycleSimulator:
         self.g = g
         self.trees = list(trees)
         self.m = m
-        self.capacity = link_capacity
+        self.capacity = capacity
         self.buffer_size = buffer_size
         self.faults = faults if faults else None
         self.telemetry = telemetry
@@ -625,10 +639,10 @@ def simulate_allreduce(
     :class:`CycleSimulator`, the independent oracle the differential
     suites check every other engine against; ``engine="leap"`` runs the
     cycle-leaping :class:`~repro.simulator.leap.LeapCycleSimulator`
-    (O(depth + #events) wall clock, message-size independent);
-    ``engine="batched"`` runs a single-lane
-    :class:`~repro.simulator.batched.BatchedCycleSimulator`.  All are
-    cycle-exact equivalents, so the choice only affects wall-clock time.
+    (O(depth + #events) wall clock, message-size independent).  All
+    are cycle-exact equivalents, so the choice only affects wall-clock
+    time; many runs over one plan belong in the batched lane runner
+    (:class:`~repro.simulator.batched.BatchedCycleSimulator`).
 
     ``faults`` injects a dynamic link-failure schedule, honored
     identically by every engine; a run severed for good raises

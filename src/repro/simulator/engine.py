@@ -1,6 +1,6 @@
 """Shared cycle-engine protocol and engine selection.
 
-Four interchangeable implementations of the flit-level pipelined
+Three interchangeable implementations of the flit-level pipelined
 Allreduce simulation exist, each with exactly one stepping path:
 
 - ``"reference"`` — :class:`repro.simulator.cycle.CycleSimulator`, the
@@ -15,13 +15,7 @@ Allreduce simulation exist, each with exactly one stepping path:
   cycle-leaping engine: detects the steady-state period of the pipeline,
   confirms it exactly from ring-buffered snapshots, and jumps whole
   multiples of it in closed form, so ``run()`` wall-clock is
-  O(depth + #events) instead of O(cycles);
-- ``"batched"`` — :class:`repro.simulator.batched.BatchedCycleSimulator`,
-  the batch engine: B independent runs over a shared topology/plan in one
-  ``(B, 4, T, n)`` state tensor, each lane bit-identical to ``"fast"``.
-  As a :class:`CycleEngine` it is a single-lane batch; real batches go
-  through ``lanes=[LaneSpec(...), ...]`` + ``run_batch``.  Telemetry is
-  unsupported in v1 (raises ``ValueError``).
+  O(depth + #events) instead of O(cycles).
 
 All satisfy :class:`CycleEngine` and are **cycle-exact** equivalents:
 identical per-channel per-cycle flit counts, per-tree completion cycles
@@ -30,21 +24,18 @@ and :class:`~repro.simulator.cycle.CycleStats` on every workload
 ``tests/test_leap.py``).  Tracing and the waterfall renderer
 (:mod:`repro.simulator.trace`) work against this protocol, so they are
 engine-agnostic.
+
+Many independent runs over one plan (fault ensembles, sweep grids) go
+through the batched lane runner
+(:class:`repro.simulator.batched.BatchedCycleSimulator`) instead: it is
+not an engine here, it stacks ``fast`` runs along a lane axis and
+returns one outcome per lane.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
-try:  # Protocol is typing-only; keep 3.7-compatible fallback cheap
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
-from repro.simulator.batched import BatchedCycleSimulator
 from repro.simulator.cycle import CycleSimulator, CycleStats
 from repro.simulator.fastcycle import FastCycleSimulator
 from repro.simulator.faultsched import FaultSchedule
@@ -120,7 +111,6 @@ ENGINES = {
     "reference": CycleSimulator,
     "fast": FastCycleSimulator,
     "leap": LeapCycleSimulator,
-    "batched": BatchedCycleSimulator,
 }
 
 
@@ -134,11 +124,11 @@ def make_engine(
     faults: Optional[FaultSchedule] = None,
     telemetry=None,
 ) -> "CycleEngine":
-    """Instantiate the named cycle engine (``"reference"``, ``"fast"``,
-    ``"leap"`` or ``"batched"``), optionally bound to a dynamic fault
-    schedule and/or a :class:`~repro.telemetry.Collector` (the batched
-    engine rejects telemetry).  Non-integral flit counts raise
-    ``TypeError`` and negative ones ``ValueError`` on every engine."""
+    """Instantiate the named cycle engine (``"reference"``, ``"fast"`` or
+    ``"leap"``), optionally bound to a dynamic fault schedule and/or a
+    :class:`~repro.telemetry.Collector`.  Non-integral flit counts, link
+    capacities or buffer sizes raise ``TypeError`` and out-of-range ones
+    ``ValueError`` on every engine."""
     try:
         cls = ENGINES[engine]
     except KeyError:

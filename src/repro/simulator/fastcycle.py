@@ -24,9 +24,9 @@ cycle with array operations and produces bit-identical results:
   For larger capacities, ``T`` complete round-robin passes hand flow
   ``i`` exactly ``min(b_i, T)`` flits and the remaining ``R`` flits go to
   the first ``R`` flows with ``b_i > T`` in cyclic order
-  (water-filling), computed with vectorized offsets.  In both paths the
-  pointer advances to one past the last grant, exactly like the
-  reference loop.
+  (water-filling, :func:`water_fill` — written over a lane axis so the
+  batched lane runner shares it).  In both paths the pointer advances to
+  one past the last grant, exactly like the reference loop.
 
 Every cycle runs as :meth:`FastCycleSimulator.begin_cycle` (land, then
 budgets) followed by :meth:`FastCycleSimulator.finish_cycle`
@@ -50,6 +50,7 @@ from repro.simulator.cycle import (
     CycleStats,
     SimulationStalled,
     check_flit_counts,
+    check_positive_int,
     default_max_cycles,
 )
 from repro.simulator.faultsched import FaultSchedule
@@ -73,6 +74,84 @@ _AGG = 0  # flits fully aggregated at a node (leaves pinned at m_i)
 _BCD = 1  # broadcast flits fully arrived at a node (roots pinned at _INF)
 _BCM = 2  # min over a node's outgoing broadcast 'sent' counters
 _UPD = 3  # flits from a node fully arrived at its parent
+
+
+def fold_stats(
+    completion: Sequence[int],
+    flits_per_tree: Sequence[int],
+    capacity: int,
+    flits_moved: int,
+    buffer_size: Optional[int],
+    ch_cum: np.ndarray,
+) -> CycleStats:
+    """Fold a finished run (or lane) into :class:`CycleStats`, with
+    pure-Python values so fast, leap and batched pickles are identical."""
+    total = max(completion, default=0)
+    loads = ch_cum[ch_cum > 0].tolist()  # plain ints
+    denom = total * capacity
+    return CycleStats(
+        cycles=total,
+        tree_completion=tuple(completion),
+        flits_per_tree=tuple(flits_per_tree),
+        link_capacity=capacity,
+        flits_moved=flits_moved,
+        buffer_size=buffer_size,
+        max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
+        mean_channel_utilization=(
+            sum(loads) / (len(loads) * denom) if loads and denom else 0.0
+        ),
+    )
+
+
+def water_fill(
+    sim: "FastCycleSimulator",
+    budget: np.ndarray,
+    rr: np.ndarray,
+    cap: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Water-filling closed form of the one-flit-per-visit round robin for
+    any capacity, over ``L`` lanes: ``sim``'s channel tables, ``(F, L)``
+    budgets, ``(C, L)`` pointers, ``(L,)`` capacities in; the ``(F, L)``
+    grants in ``sim._flat_fids`` order, the new pointers and the ``(C, L)``
+    per-channel grant totals out.  The fast engine calls it with one lane,
+    the batched lane runner with its whole batch."""
+    valid = sim._ch_valid[:, :, None]
+    Bm = np.where(valid, budget[sim._ch_fid], 0).astype(np.int64, copy=False)
+    np.maximum(Bm, 0, out=Bm)
+    S = np.minimum(Bm.sum(axis=1), cap)  # (C, L)
+
+    T_arr = np.zeros_like(S)
+    base = np.zeros_like(S)
+    for p in range(1, int(cap.max()) + 1):
+        s = np.minimum(Bm, p).sum(axis=1)
+        ok = (s <= S) & (p <= cap)
+        T_arr[ok] = p
+        base[ok] = s[ok]
+    R = S - base
+
+    grants = np.minimum(Bm, T_arr[:, None, :])
+    jpos = (sim._pos[:, :, None] - rr[:, None, :]) % sim._ch_k[:, None, None]
+    want_extra = (Bm > T_arr[:, None, :]) & valid
+    if want_extra.any():
+        # rank of each candidate among candidates, in cyclic order
+        rank = (want_extra[:, None] & (jpos[:, None] < jpos[:, :, None])).sum(axis=2)
+        extra = want_extra & (rank < R[:, None, :])
+        grants += extra
+    else:
+        extra = want_extra
+
+    # rotating pointer: one past the last grant of the cycle
+    has_extra = extra.any(axis=1)
+    j_extra = np.where(extra, jpos, -1).max(axis=1, initial=-1)
+    last_pass = grants.max(axis=1, initial=0)
+    j_pass = np.where(
+        (Bm >= last_pass[:, None, :]) & valid & (last_pass[:, None, :] > 0),
+        jpos,
+        -1,
+    ).max(axis=1, initial=-1)
+    j_last = np.where(has_extra, j_extra, j_pass)
+    rr = np.where(S > 0, (rr + j_last + 1) % sim._ch_k[:, None], rr)
+    return grants[sim._ch_valid], rr, S
 
 
 class FastCycleSimulator:
@@ -99,10 +178,9 @@ class FastCycleSimulator:
         telemetry=None,
     ):
         m = check_flit_counts(flits_per_tree, len(trees))
-        if link_capacity < 1:
-            raise ValueError("link capacity must be >= 1 flit/cycle")
-        if buffer_size is not None and buffer_size < 1:
-            raise ValueError("buffer size must be >= 1 slot (or None for infinite)")
+        capacity = check_positive_int(link_capacity, "link capacity")
+        if buffer_size is not None:
+            buffer_size = check_positive_int(buffer_size, "buffer size")
         for t in trees:
             t.validate(g)
         if faults is not None:
@@ -110,7 +188,7 @@ class FastCycleSimulator:
         self.g = g
         self.trees = list(trees)
         self.m = m
-        self.capacity = link_capacity
+        self.capacity = capacity
         self.buffer_size = buffer_size
         self.faults = faults if faults else None
         self.telemetry = telemetry
@@ -426,53 +504,16 @@ class FastCycleSimulator:
         return np.bincount(self._flow_ch[budget > 0], minlength=self._C)
 
     def _arbitrate_general(self, budget: np.ndarray) -> int:
-        """Water-filling closed form of the one-flit-per-visit round robin
-        for arbitrary capacity."""
-        B = np.where(self._ch_valid, budget[self._ch_fid], 0)
-        np.maximum(B, 0, out=B)
-        tot = B.sum(axis=1)
-        S = np.minimum(tot, self.capacity)
-
-        T_arr = np.zeros(self._C, dtype=np.int64)
-        base = np.zeros(self._C, dtype=np.int64)
-        for t in range(1, self.capacity + 1):
-            s = np.minimum(B, t).sum(axis=1)
-            ok = s <= S
-            T_arr[ok] = t
-            base[ok] = s[ok]
-        R = S - base
-
-        grants = np.minimum(B, T_arr[:, None])
-        jpos = (self._pos - self._rr[:, None]) % self._ch_k[:, None]
-        want_extra = (B > T_arr[:, None]) & self._ch_valid
-        if want_extra.any():
-            # rank of each candidate among candidates, in cyclic order
-            rank = (want_extra[:, None, :] & (jpos[:, None, :] < jpos[:, :, None])).sum(axis=2)
-            extra = want_extra & (rank < R[:, None])
-            grants += extra
-        else:
-            extra = want_extra
-
-        # rotating pointer: one past the last grant of the cycle
-        has_extra = extra.any(axis=1)
-        j_extra = np.where(extra, jpos, -1).max(axis=1, initial=-1)
-        last_pass = grants.max(axis=1, initial=0)
-        j_pass = np.where(
-            (B >= last_pass[:, None]) & self._ch_valid & (last_pass[:, None] > 0),
-            jpos,
-            -1,
-        ).max(axis=1, initial=-1)
-        j_last = np.where(has_extra, j_extra, j_pass)
-        self._rr = np.where(S > 0, (self._rr + j_last + 1) % self._ch_k, self._rr)
-
-        moved = int(S.sum())
+        """Capacity > 1: the lane-axis water filling with one lane."""
+        cap = np.array([self.capacity])
+        grants, rr, S = water_fill(self, budget[:, None], self._rr[:, None], cap)
+        self._rr, flat, moved = rr[:, 0], grants[:, 0], int(S.sum())
         if moved:
-            flat = grants[self._ch_valid]
             nz = flat > 0
             self._pending_fids = self._flat_fids[nz]
             self._pending_cnt = flat[nz]
             self.sent[self._pending_fids] += self._pending_cnt
-            self._ch_cum += grants.sum(axis=1)
+            self._ch_cum += S[:, 0]
             self.flits_moved += moved
         return moved
 
@@ -588,20 +629,9 @@ class FastCycleSimulator:
                 for i in np.nonzero(newly)[0]:
                     completion[i] = cycle
                 done = done | now
-        total_cycles = max(completion) if completion else 0
         if tel is not None:
-            tel.on_run_end(self, total_cycles, True)
-        loads = [int(c) for c in self._ch_cum if c > 0]
-        denom = total_cycles * self.capacity
-        return CycleStats(
-            cycles=total_cycles,
-            tree_completion=tuple(completion),
-            flits_per_tree=tuple(self.m),
-            link_capacity=self.capacity,
-            flits_moved=self.flits_moved,
-            buffer_size=self.buffer_size,
-            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
-            mean_channel_utilization=(
-                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
-            ),
+            tel.on_run_end(self, max(completion, default=0), True)
+        return fold_stats(
+            completion, self.m, self.capacity, self.flits_moved,
+            self.buffer_size, self._ch_cum,
         )

@@ -26,6 +26,7 @@ long a link stays down.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
@@ -52,6 +53,17 @@ class FaultEvent:
 
 
 _EventLike = Union[FaultEvent, Tuple]
+
+
+def _cycle(value, what: str) -> int:
+    """A fault cycle as a plain int: ``bool`` and non-integral values raise
+    ``TypeError`` instead of being truncated (NumPy ints are accepted)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(
+            f"fault {what} cycle must be an integer, got "
+            f"{type(value).__name__} {value!r}"
+        )
+    return int(value)
 
 
 class FaultSchedule:
@@ -85,17 +97,13 @@ class FaultSchedule:
                     raise ValueError(
                         f"fault event {ev!r} must be (edge, down[, up])"
                     )
-                ev = FaultEvent(
-                    canonical_edge(*edge),
-                    int(down),
-                    None if up is None else int(up),
-                )
             else:
-                ev = FaultEvent(
-                    canonical_edge(*ev.edge),
-                    int(ev.down),
-                    ev.up if ev.up is None else int(ev.up),
-                )
+                edge, down, up = ev.edge, ev.down, ev.up
+            ev = FaultEvent(
+                canonical_edge(*edge),
+                _cycle(down, "down"),
+                None if up is None else _cycle(up, "up"),
+            )
             u, v = ev.edge
             if u == v:
                 raise ValueError(f"fault edge {ev.edge} is a self-loop, not a link")

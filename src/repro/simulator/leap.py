@@ -54,7 +54,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.simulator.cycle import CycleStats, SimulationStalled, default_max_cycles
-from repro.simulator.fastcycle import FastCycleSimulator
+from repro.simulator.fastcycle import FastCycleSimulator, fold_stats
 from repro.simulator.faultsched import FaultSchedule
 from repro.topology.graph import Graph
 from repro.trees.tree import SpanningTree
@@ -456,22 +456,11 @@ class LeapCycleSimulator(FastCycleSimulator):
                         if tel is not None and skip_to > cycle:
                             tel.on_idle(self, cycle, skip_to)
                         cycle = skip_to
-        total_cycles = max(completion) if completion else 0
         if tel is not None:
-            tel.on_run_end(self, total_cycles, True)
-        loads = [int(c) for c in self._ch_cum if c > 0]
-        denom = total_cycles * self.capacity
-        return CycleStats(
-            cycles=total_cycles,
-            tree_completion=tuple(completion),
-            flits_per_tree=tuple(self.m),
-            link_capacity=self.capacity,
-            flits_moved=self.flits_moved,
-            buffer_size=self.buffer_size,
-            max_channel_utilization=(max(loads) / denom) if loads and denom else 0.0,
-            mean_channel_utilization=(
-                sum(loads) / (len(loads) * denom) if loads and denom else 0.0
-            ),
+            tel.on_run_end(self, max(completion, default=0), True)
+        return fold_stats(
+            completion, self.m, self.capacity, self.flits_moved,
+            self.buffer_size, self._ch_cum,
         )
 
     # -------------------------------------------------------------- tracing

@@ -121,8 +121,8 @@ def trace_allreduce(
     """Step the selected cycle engine, recording channel activity.
 
     ``engine`` selects ``"fast"`` (the default), ``"reference"`` (the
-    pure-Python oracle), ``"leap"`` or ``"batched"`` — all produce the
-    same :class:`ChannelTrace` (cycle-exact equivalence).
+    pure-Python oracle) or ``"leap"`` — all produce the same
+    :class:`ChannelTrace` (cycle-exact equivalence).
 
     With ``compress=True`` the result is a :class:`CompressedTrace` of
     run-length ``(repeat, block)`` runs instead of a dense per-cycle

@@ -13,8 +13,9 @@ package turns those sweeps into a first-class engine:
   serial) and hit/miss/timing summaries;
 - :mod:`repro.sweep.tasks` — the registry mapping cell task names to
   importable functions;
-- :mod:`repro.sweep.batching` — routing compatible cache misses through
-  single batched-engine calls, bit-identical to the serial path;
+- :mod:`repro.sweep.batching` — routing compatible ``sim_point`` misses
+  through single batched lane-runner calls, bit-identical to the serial
+  path;
 - :mod:`repro.sweep.artifacts` — the ``results/`` regeneration pipeline
   on top of the engine, including the CI drift check.
 
@@ -28,7 +29,7 @@ from repro.sweep.artifacts import (
     generate_artifacts,
     write_artifacts,
 )
-from repro.sweep.batching import BATCHERS, Batcher, plan_groups, register_batcher
+from repro.sweep.batching import plan_groups
 from repro.sweep.cache import CACHE_ENV, SweepCache, default_cache_dir
 from repro.sweep.engine import (
     WORKERS_ENV,
@@ -58,9 +59,6 @@ __all__ = [
     "BUILTIN_TASKS",
     "register",
     "run_cell",
-    "Batcher",
-    "BATCHERS",
-    "register_batcher",
     "plan_groups",
     "ARTIFACT_NAMES",
     "generate_artifacts",

@@ -1,23 +1,17 @@
-"""Routing compatible sweep cells through one batched engine call.
+"""Routing compatible sweep cells through one batched lane-runner call.
 
 A sweep grid over simulation knobs (message split, buffers, capacity,
 faults) at a fixed topology+plan is exactly the workload the batched
-engine (:mod:`repro.simulator.batched`) collapses into a single tensor
-run.  This module is the sweep-side half of that contract:
+lane runner (:mod:`repro.simulator.batched`) collapses into a single
+tensor run.  :func:`plan_groups` partitions a miss list into groups of
+``sim_point`` cells that share a plan (see
+:func:`~repro.analysis.simgrid.sim_point_group_key`) and serial
+leftovers; :class:`~repro.sweep.engine.SweepRunner` evaluates each group
+inline with :func:`~repro.analysis.simgrid.sim_point_batch` — the batch
+*is* the parallelism, so the process pool only sees the leftovers.
 
-- a *batcher* for a task declares how to recognize compatible cells
-  (``group_key``: same value → one batch; ``None`` → serial only) and
-  how to evaluate a group in one call (``run_group``, returning results
-  in cell order, each **bit-identical** to ``run_cell`` on that cell);
-- :func:`plan_groups` partitions a miss list into batchable groups and
-  serial leftovers (groups of one gain nothing and stay serial);
-- :class:`~repro.sweep.engine.SweepRunner` consults :data:`BATCHERS`
-  for every cache miss and runs groups inline in the parent process —
-  the batch *is* the parallelism, so the process pool only sees the
-  serial leftovers.
-
-Because ``run_group`` must be bit-identical to the serial path (the
-batched engine's differential guarantee, re-checked by the sweep
+Because a group's results are bit-identical to ``sim_point`` per cell
+(the lane runner's differential guarantee, re-checked by the sweep
 route-parity tests), cache entries written by either route are
 byte-identical — a cache warmed by a batched run is indistinguishable
 from one warmed serially, and vice versa.
@@ -25,72 +19,43 @@ from one warmed serially, and vice versa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.sweep.spec import Cell
 
-__all__ = ["Batcher", "BATCHERS", "register_batcher", "plan_groups"]
-
-
-@dataclass(frozen=True)
-class Batcher:
-    """How one task's cells batch.
-
-    ``group_key`` maps a cell's kwargs to a hashable compatibility key
-    (cells with equal keys may share one call) or ``None`` (this cell
-    must run serially).  ``run_group`` evaluates same-key cells in one
-    call, returning per-cell results in input order, each equal — to the
-    byte, once pickled — to what ``run_cell`` would have produced.
-    """
-
-    group_key: Callable[[Dict[str, Any]], Optional[Hashable]]
-    run_group: Callable[[Sequence[Dict[str, Any]]], List[Any]]
-
-
-BATCHERS: Dict[str, Batcher] = {}
-
-
-def register_batcher(task: str, batcher: Batcher) -> None:
-    """Declare (or override) how a task's cells batch."""
-    BATCHERS[task] = batcher
-
-
-def _builtin_batchers() -> None:
-    from repro.analysis.simgrid import sim_point_batch, sim_point_group_key
-
-    register_batcher(
-        "sim_point",
-        Batcher(group_key=sim_point_group_key, run_group=sim_point_batch),
-    )
-
-
-_builtin_batchers()
+__all__ = ["plan_groups"]
 
 
 def plan_groups(
     missing: Sequence[Tuple[int, Cell]],
-) -> Tuple[List[Tuple[Batcher, List[Tuple[int, Cell]]]], List[Tuple[int, Cell]]]:
-    """Split cache misses into batched groups and serial leftovers.
+) -> Tuple[List[List[Tuple[int, Cell]]], List[Tuple[int, Cell]]]:
+    """Split cache misses into ``sim_point`` groups and serial leftovers.
 
     Input order is preserved within every group and within the leftover
     list, and results are merged back by cell index either way, so
-    routing never reorders a sweep's output.
+    routing never reorders a sweep's output.  A group of one gains
+    nothing and stays serial, and so does every cell when ``sim_point``
+    was re-registered to another function.
     """
-    groups: Dict[Tuple[str, Hashable], List[Tuple[int, Cell]]] = {}
+    from repro.analysis.simgrid import sim_point, sim_point_group_key
+    from repro.sweep.tasks import resolve
+
+    batchable = resolve("sim_point") is sim_point
+    groups: Dict[Hashable, List[Tuple[int, Cell]]] = {}
     serial: List[Tuple[int, Cell]] = []
     for i, c in missing:
-        batcher = BATCHERS.get(c.task)
-        key = batcher.group_key(c.kwargs) if batcher is not None else None
+        key = None
+        if batchable and c.task == "sim_point":
+            key = sim_point_group_key(c.kwargs)
         if key is None:
             serial.append((i, c))
         else:
-            groups.setdefault((c.task, key), []).append((i, c))
-    batched: List[Tuple[Batcher, List[Tuple[int, Cell]]]] = []
-    for (task, _), members in groups.items():
-        if len(members) < 2:  # a batch of one is just serial with overhead
+            groups.setdefault(key, []).append((i, c))
+    batched: List[List[Tuple[int, Cell]]] = []
+    for members in groups.values():
+        if len(members) < 2:
             serial.extend(members)
         else:
-            batched.append((BATCHERS[task], members))
+            batched.append(members)
     serial.sort(key=lambda pair: pair[0])
     return batched, serial

@@ -6,11 +6,10 @@ SweepSpec` with a ``concurrent.futures`` process pool and an optional
 
 1. every cell is first probed against the cache in the parent process
    (so a warm run never pays pool startup for work it will not do);
-2. misses whose task has a registered batcher
-   (:mod:`repro.sweep.batching`) are grouped by compatibility key and
-   evaluated inline as single batched-engine calls — the batch *is* the
-   parallelism — with results guaranteed bit-identical to the serial
-   path, so cache entries are byte-identical either way;
+2. ``sim_point`` misses that share a plan (:mod:`repro.sweep.batching`)
+   are evaluated inline as single batched lane-runner calls — the batch
+   *is* the parallelism — with results guaranteed bit-identical to the
+   serial path, so cache entries are byte-identical either way;
 3. the remaining misses fan out over the pool — or run inline when
    ``workers <= 1`` or only one cell missed;
 4. results are merged back **by cell index**, making parallel and
@@ -75,7 +74,7 @@ class SweepSummary:
     compute_s: float = 0.0
     workers: int = 0
     cache_dir: Optional[str] = None
-    batched: int = 0  # cells computed via grouped batched-engine calls
+    batched: int = 0  # cells computed via grouped lane-runner calls
 
     def __add__(self, other: "SweepSummary") -> "SweepSummary":
         return SweepSummary(
@@ -134,8 +133,8 @@ class SweepRunner:
         every radix ever visited. On by default; pass ``False`` to keep
         topologies warm across batches.
     batching:
-        Route compatible cache misses through grouped batched-engine
-        calls (:mod:`repro.sweep.batching`). On by default — the routes
+        Route compatible cache misses through grouped batched
+        lane-runner calls (:mod:`repro.sweep.batching`). On by default — the routes
         are bit-identical, so this is purely a speed knob; pass ``False``
         to force every miss down the serial/pool path.
     """
@@ -181,12 +180,13 @@ class SweepRunner:
         n_missed = len(missing)
         batched_cells = 0
         if missing and self.batching:
+            from repro.analysis.simgrid import sim_point_batch
             from repro.sweep.batching import plan_groups
 
             groups, missing = plan_groups(missing)
-            for batcher, members in groups:
+            for members in groups:
                 t1 = time.perf_counter()
-                values = batcher.run_group([c.kwargs for _, c in members])
+                values = sim_point_batch([c.kwargs for _, c in members])
                 compute_s += time.perf_counter() - t1
                 for (i, c), value in zip(members, values):
                     results[i] = value

@@ -14,11 +14,9 @@ inline across ``tests/test_differential.py``,
   — small named topologies plus seeded random spanning-tree embeddings
   for cross-cutting invariants;
 - :data:`CYCLE_ENGINES` / :func:`cycle_engines` — every registered cycle
-  engine, for differential suites that must cover all of them
-  (:data:`TELEMETRY_ENGINES` is the subset accepting collectors — the
-  batched engine rejects telemetry in v1);
+  engine, for differential suites that must cover all of them;
 - :func:`batch_specs` / :func:`materialize_lanes` — random heterogeneous
-  lane batches for the batched engine's differential suite.
+  lane batches for the batched lane runner's differential suite.
 
 Everything is deterministic: strategies only emit seeds or seeded
 generators, never global-randomness draws, so failing examples shrink and
@@ -54,13 +52,13 @@ __all__ = [
     "topology_names",
     "random_embedding",
     "CYCLE_ENGINES",
-    "TELEMETRY_ENGINES",
     "cycle_engines",
     "fault_specs",
     "materialize_faults",
     "plan_used_links",
     "batch_specs",
     "materialize_lanes",
+    "lane_runner_outcomes",
     "arbitration_policies",
     "placement_modes",
     "tenant_mixes",
@@ -69,11 +67,7 @@ __all__ = [
 
 #: every registered cycle-engine name, reference first (kept in sync with
 #: repro.simulator.engine.ENGINES by tests/test_leap.py)
-CYCLE_ENGINES = ("reference", "fast", "leap", "batched")
-
-#: the engines that accept a telemetry Collector — the batched engine
-#: raises ValueError on telemetry (v1), so collector differentials skip it
-TELEMETRY_ENGINES = ("reference", "fast", "leap")
+CYCLE_ENGINES = ("reference", "fast", "leap")
 
 
 def cycle_engines(subset=None):
@@ -240,7 +234,7 @@ def materialize_faults(plan, spec):
 
 def batch_specs(max_lanes: int = 8, max_m: int = 12, max_capacity: int = 3,
                 max_buffer: int = 4, with_faults: bool = True):
-    """Strategy over abstract batched-engine lane batches.
+    """Strategy over abstract lane batches for the batched lane runner.
 
     Each batch is a non-empty tuple of per-lane specs
     ``(m, link_capacity, buffer_size-or-None, fault_spec-or-None)`` —
@@ -283,6 +277,30 @@ def materialize_lanes(plan, batch):
             )
         )
     return lanes
+
+
+def lane_runner_outcomes(plan, parts, faults=None, copies=2):
+    """The batched lane runner's entry in a differential suite.
+
+    Runs ``parts`` (under ``faults``) as ``copies`` lanes of one
+    ``run_batch``, each followed by a fault-free one-flit-per-tree lane
+    that finishes at a different cycle (so lanes freeze at different
+    times inside the batch), and returns the copies' outcomes in the form
+    a serial run yields: ``("done", CycleStats)`` or
+    ``("stall", cycle, pending)``.
+    """
+    from repro.simulator import BatchedCycleSimulator, LaneSpec
+
+    case = LaneSpec(tuple(parts), faults=faults)
+    other = LaneSpec((1,) * plan.num_trees)
+    outs = BatchedCycleSimulator(
+        plan.topology, plan.trees, [case, other] * copies
+    ).run_batch()
+    return [
+        ("done", o.stats) if o.status == "done"
+        else ("stall", o.stall_cycle, o.stall_pending)
+        for o in outs[::2]
+    ]
 
 
 # ------------------------------------------------------------ tenant mixes

@@ -1,6 +1,6 @@
 """Batch-differential layer: every batched lane bit-identical to ``fast``.
 
-The batched engine's entire value rests on one claim: lane ``i`` of a
+The batched lane runner's entire value rests on one claim: lane ``i`` of a
 ``run_batch`` over heterogeneous :class:`LaneSpec` s produces *exactly*
 what a serial ``engine="fast"`` run with lane ``i``'s knobs would have —
 the same :class:`CycleStats` down to float utilization (pickle-byte
@@ -8,7 +8,9 @@ equality), the same :class:`SimulationStalled` cycle and pending set on
 the faulted lanes only, the same cycle-guard ``RuntimeError``.  This
 module is that claim as a test suite, deterministic grids first (q=7,
 real PolarFly radix) and a hypothesis sweep over random heterogeneous
-batches after.
+batches after.  The differential suites (``tests/test_differential.py``,
+``tests/test_fault_differential.py``) check multi-lane batches against
+the reference oracle directly.
 """
 
 import pickle
@@ -21,10 +23,7 @@ from repro.simulator import (
     LaneSpec,
     SimulationStalled,
     make_engine,
-    simulate_allreduce,
-    trace_allreduce,
 )
-from repro.simulator.engine import ENGINES
 
 from tests.strategies import (
     batch_specs,
@@ -180,54 +179,18 @@ def test_random_heterogeneous_batches_match_fast(key, batch):
     _assert_lanes_match(plan, materialize_lanes(plan, batch))
 
 
-# ------------------------------------------------- protocol surface (B=1)
+# ------------------------------------------- what is left of a single run
 
 
 class TestSingleLaneProtocol:
-    def test_registered_in_engine_zoo(self):
-        assert ENGINES["batched"] is BatchedCycleSimulator
-        assert BatchedCycleSimulator.engine_name == "batched"
+    """The lane runner is not a cycle engine; ``run()`` remains only as
+    the serial-contract form of a one-lane batch."""
 
-    def test_simulate_allreduce_roundtrip(self):
+    def test_not_a_registered_engine(self):
         plan = _plan()
-        parts = plan.partition(40)
-        fast = simulate_allreduce(plan.topology, plan.trees, parts, engine="fast")
-        bat = simulate_allreduce(
-            plan.topology, plan.trees, parts, engine="batched"
-        )
-        assert bat == fast
-
-    def test_trace_parity_with_fast(self):
-        plan = _plan()
-        parts = plan.partition(12)
-        t_f = trace_allreduce(plan.topology, plan.trees, parts, engine="fast")
-        t_b = trace_allreduce(plan.topology, plan.trees, parts, engine="batched")
-        assert t_b.cycles == t_f.cycles
-        assert t_b.activity == t_f.activity
-
-    def test_midrun_probe_parity(self):
-        plan = _plan()
-        T = plan.num_trees
-        sf = make_engine("fast", plan.topology, plan.trees, (4,) * T,
-                         buffer_size=2)
-        sb = make_engine("batched", plan.topology, plan.trees, (4,) * T,
-                         buffer_size=2)
-        for cycle in range(10):
-            assert sf.step() == sb.step(), cycle
-            assert sf.queue_occupancy() == sb.queue_occupancy(), cycle
-            assert sf.phase_flit_totals() == sb.phase_flit_totals(), cycle
-            assert sf.delivered_floor() == sb.delivered_floor(), cycle
-            assert sf.reduced_at_root() == sb.reduced_at_root(), cycle
-            assert sf.channel_flit_counts() == sb.channel_flit_counts(), cycle
-            assert sf.has_in_flight() == sb.has_in_flight(), cycle
-            assert sf.done() == sb.done(), cycle
-
-    def test_telemetry_rejected_with_clear_error(self):
-        plan = _plan()
-        with pytest.raises(ValueError, match="does not support telemetry"):
+        with pytest.raises(ValueError, match="unknown engine 'batched'"):
             make_engine(
-                "batched", plan.topology, plan.trees,
-                (1,) * plan.num_trees, telemetry=object(),
+                "batched", plan.topology, plan.trees, (1,) * plan.num_trees
             )
 
     def test_run_refuses_multilane_batch(self):
@@ -245,11 +208,6 @@ class TestSingleLaneProtocol:
         T = plan.num_trees
         with pytest.raises(ValueError, match="at least one lane"):
             BatchedCycleSimulator(plan.topology, plan.trees, lanes=[])
-        with pytest.raises(ValueError, match="not both"):
-            BatchedCycleSimulator(
-                plan.topology, plan.trees, flits_per_tree=(1,) * T,
-                lanes=[LaneSpec((1,) * T)],
-            )
         with pytest.raises(ValueError, match="align"):
             BatchedCycleSimulator(
                 plan.topology, plan.trees, lanes=[LaneSpec((1,) * (T + 1))]

@@ -11,8 +11,8 @@ The library has seven ways to execute the same multi-tree Allreduce:
    reference flit simulator),
 6. the cycle-leaping engine (steady-state detection + O(events) jumps,
    still cycle-exact),
-7. the batched tensor engine (B runs in one state tensor; here driven as
-   a single-lane batch through the same ``CycleEngine`` protocol).
+7. the batched lane runner (B runs in one state tensor; here the case
+   runs as several lanes of one multi-lane ``run_batch``).
 
 They share no execution code beyond the tree structures, so exact
 agreement on random workloads is a strong whole-stack check: the packet
@@ -40,6 +40,7 @@ from tests.strategies import (
     CYCLE_ENGINES,
     PLANS,
     fault_specs,
+    lane_runner_outcomes,
     materialize_faults,
     message_sizes,
     plan_keys,
@@ -76,20 +77,23 @@ def test_six_engines_agree(key, m, seed, op):
     assert np.array_equal(c, want)
     assert np.array_equal(d, want)
 
-    # fifth through seventh executors: the fast, leap and batched cycle
-    # engines must reproduce the timing of the run that produced the
-    # (verified) payloads above — full CycleStats (per-tree finish cycles
-    # included) must match the pure-Python reference engine bit for bit
+    # fifth through seventh executors: the fast and leap cycle engines and
+    # the batched lane runner must reproduce the timing of the run that
+    # produced the (verified) payloads above — full CycleStats (per-tree
+    # finish cycles included) must match the pure-Python reference engine
+    # bit for bit
     rstats = simulate_allreduce(
         plan.topology, plan.trees, plan.partition(m), engine="reference",
     )
     assert rstats.cycles == pstats.cycles
     assert rstats.flits_moved == pstats.flits_moved
-    for engine in ("fast", "leap", "batched"):
+    for engine in ("fast", "leap"):
         estats = simulate_allreduce(
             plan.topology, plan.trees, plan.partition(m), engine=engine,
         )
         assert estats == rstats, engine
+    for lane in lane_runner_outcomes(plan, plan.partition(m)):
+        assert lane == ("done", rstats)
 
 
 @given(
@@ -127,7 +131,7 @@ def test_cycle_engines_agree_under_transient_faults(key, m, spec):
     t_ref = trace_allreduce(
         plan.topology, plan.trees, parts, engine="reference", faults=faults,
     )
-    for engine in ("fast", "leap", "batched"):
+    for engine in ("fast", "leap"):
         stats = simulate_allreduce(
             plan.topology, plan.trees, parts, engine=engine, faults=faults,
         )
@@ -136,6 +140,8 @@ def test_cycle_engines_agree_under_transient_faults(key, m, spec):
             plan.topology, plan.trees, parts, engine=engine, faults=faults,
         )
         assert t.activity == t_ref.activity, engine
+    for lane in lane_runner_outcomes(plan, parts, faults):
+        assert lane == ("done", ref)
 
 
 @given(
@@ -145,8 +151,9 @@ def test_cycle_engines_agree_under_transient_faults(key, m, spec):
 )
 @settings(max_examples=20, deadline=None)
 def test_cycle_engines_agree_on_stall_or_completion(key, m, spec):
-    # permanent faults may sever the run: then every engine must raise
-    # SimulationStalled at the same cycle with the same pending trees
+    # permanent faults may sever the run: then every engine (and every
+    # lane of a batch) must raise SimulationStalled at the same cycle with
+    # the same pending trees
     plan = PLANS[key]
     faults = materialize_faults(plan, spec)
     parts = plan.partition(m)
@@ -156,10 +163,12 @@ def test_cycle_engines_agree_on_stall_or_completion(key, m, spec):
             s = simulate_allreduce(
                 plan.topology, plan.trees, parts, engine=engine, faults=faults,
             )
-            outcomes[engine] = ("done", s.cycles, s.tree_completion)
+            outcomes[engine] = ("done", s)
         except SimulationStalled as st_exc:
             outcomes[engine] = ("stall", st_exc.cycle, st_exc.pending)
-    assert len(set(outcomes.values())) == 1, outcomes
+    for i, lane in enumerate(lane_runner_outcomes(plan, parts, faults)):
+        outcomes[f"batched lane {i}"] = lane
+    assert all(o == outcomes["reference"] for o in outcomes.values()), outcomes
 
 
 @given(seed=seeds(200))

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core import build_plan
 from repro.simulator import (
     ENGINES,
+    BatchedCycleSimulator,
     CycleSimulator,
     FastCycleSimulator,
     FaultSchedule,
@@ -305,10 +306,13 @@ class TestDoneCounts:
     def test_zero_flit_trees_complete_immediately(self):
         plan = get_plan(3, "low-depth")
         parts = [0] * plan.num_trees
-        for engine in ("reference", "fast", "leap", "batched"):
+        for engine in sorted(ENGINES):
             stats = simulate_allreduce(plan.topology, plan.trees, parts,
                                        engine=engine)
             assert stats.cycles == 0, engine
+        lane = BatchedCycleSimulator(plan.topology, plan.trees,
+                                     [LaneSpec(parts)]).run()
+        assert lane.cycles == 0
 
     def test_heterogeneous_parts_exact(self):
         plan = get_plan(5, "edge-disjoint")
@@ -316,46 +320,95 @@ class TestDoneCounts:
         parts = [int(x) for x in rng.integers(0, 9, plan.num_trees)]
         base = simulate_allreduce(plan.topology, plan.trees, parts,
                                   engine="reference")
-        for engine in ("fast", "leap", "batched"):
+        for engine in ("fast", "leap"):
             got = simulate_allreduce(plan.topology, plan.trees, parts,
                                      engine=engine)
             assert got == base, engine
+        lanes = [LaneSpec(parts), LaneSpec(parts[::-1])]
+        outs = BatchedCycleSimulator(plan.topology, plan.trees, lanes).run_batch()
+        assert outs[0].stats == base
+
+
+def _build(target, plan, parts, **knobs):
+    """A cycle engine by name, a one-lane batched lane runner
+    (``"batched"``) or a bare ``"LaneSpec"``, built with these knobs."""
+    if target == "LaneSpec":
+        return LaneSpec(tuple(parts), **knobs)
+    if target == "batched":
+        lane = LaneSpec(tuple(parts), **knobs)
+        return BatchedCycleSimulator(plan.topology, plan.trees, [lane])
+    return make_engine(target, plan.topology, plan.trees, parts, **knobs)
 
 
 class TestFlitCountValidation:
-    """Every engine rejects non-integral or negative flit counts instead of
-    truncating them (one shared validator)."""
+    """Every engine (and the lane runner, ``"batched"``) rejects
+    non-integral or negative flit counts instead of truncating them (one
+    shared validator)."""
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINES) + ["batched"])
     @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.float64(3.0)])
     def test_non_integral_counts_raise_type_error(self, engine, bad):
         plan = get_plan(3, "low-depth")
         with pytest.raises(TypeError, match="integers"):
-            make_engine(engine, plan.topology, plan.trees,
-                        [bad] * plan.num_trees)
+            _build(engine, plan, [bad] * plan.num_trees)
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINES) + ["batched"])
     def test_negative_counts_raise_value_error(self, engine):
         plan = get_plan(3, "low-depth")
         parts = [3] * (plan.num_trees - 1) + [-1]
         with pytest.raises(ValueError, match="non-negative"):
-            make_engine(engine, plan.topology, plan.trees, parts)
+            _build(engine, plan, parts)
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINES) + ["batched"])
     def test_numpy_integers_accepted(self, engine):
         plan = get_plan(3, "low-depth")
         T = plan.num_trees
-        got = make_engine(engine, plan.topology, plan.trees,
-                          np.full(T, 4, dtype=np.int64)).run()
-        assert got == make_engine(engine, plan.topology, plan.trees,
-                                  [4] * T).run()
+        knobs = dict(link_capacity=np.int64(2), buffer_size=np.int32(3))
+        got = _build(engine, plan, np.full(T, 4, dtype=np.int64), **knobs).run()
+        assert got == _build(engine, plan, [4] * T, link_capacity=2,
+                             buffer_size=3).run()
         assert all(type(x) is int for x in got.flits_per_tree)
+        assert type(got.link_capacity) is int
+        assert type(got.buffer_size) is int
 
     def test_lane_spec_rejects_non_integral_counts(self):
         with pytest.raises(TypeError, match="integers"):
             LaneSpec((2.5, 1))
         with pytest.raises(ValueError, match="non-negative"):
             LaneSpec((1, -2))
+
+
+class TestKnobValidation:
+    """Link capacity and buffer size go through one validator on every
+    engine and on LaneSpec: bool or non-integral values raise TypeError
+    (never truncated, never stored), values below 1 raise ValueError."""
+
+    TARGETS = sorted(ENGINES) + ["LaneSpec"]
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("knob", ["link_capacity", "buffer_size"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(2.0), "2"])
+    def test_non_integral_knobs_raise_type_error(self, target, knob, bad):
+        plan = get_plan(3, "low-depth")
+        with pytest.raises(TypeError, match="must be an integer"):
+            _build(target, plan, [1] * plan.num_trees, **{knob: bad})
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("knob", ["link_capacity", "buffer_size"])
+    @pytest.mark.parametrize("bad", [0, -1, np.int64(0)])
+    def test_knobs_below_one_raise_value_error(self, target, knob, bad):
+        plan = get_plan(3, "low-depth")
+        with pytest.raises(ValueError, match=">= 1"):
+            _build(target, plan, [1] * plan.num_trees, **{knob: bad})
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_numpy_knobs_stored_as_int(self, target):
+        plan = get_plan(3, "low-depth")
+        built = _build(target, plan, [1] * plan.num_trees,
+                       link_capacity=np.int16(2), buffer_size=np.uint8(4))
+        cap = built.link_capacity if target == "LaneSpec" else built.capacity
+        assert (type(cap), cap) == (int, 2)
+        assert (type(built.buffer_size), built.buffer_size) == (int, 4)
 
 
 class TestOracleIndependence:

@@ -2,11 +2,13 @@
 
 For every fault schedule in a fixed grid — permanent, transient, multi-
 link and cascading — the three cycle engines must agree on the *full*
-per-cycle trace and the completion (or stall) cycle, bit for bit. This is
+per-cycle trace and the completion (or stall) cycle, bit for bit, and
+every lane of a multi-lane batched run over the same schedule must reach
+the reference outcome (stats, or stall cycle and pending set). This is
 the acceptance criterion of the dynamic fault layer: fault handling is
-implemented three independent ways (per-channel skip, vectorized budget
-mask, leap barriers + idle fast-forward) and the grid pins them to each
-other.
+implemented four independent ways (per-channel skip, vectorized budget
+mask, leap barriers + idle fast-forward, per-lane lazily rebuilt masks)
+and the grid pins them to each other.
 
 Runs at q=7 so the grid covers real PolarFly radix (N=57) rather than
 just the toy radixes the hypothesis suites sample.
@@ -22,7 +24,7 @@ from repro.simulator import (
     trace_allreduce,
 )
 
-from tests.strategies import CYCLE_ENGINES, plan_used_links
+from tests.strategies import CYCLE_ENGINES, lane_runner_outcomes, plan_used_links
 
 Q = 7
 M = 120
@@ -70,8 +72,7 @@ def test_engines_bit_identical_under_faults(label, scheme, build):
             s = simulate_allreduce(
                 plan.topology, plan.trees, parts, engine=engine, faults=faults,
             )
-            outcomes[engine] = ("done", s.cycles, s.tree_completion,
-                                s.flits_moved)
+            outcomes[engine] = ("done", s)
         except SimulationStalled as exc:
             outcomes[engine] = ("stall", exc.cycle, exc.pending)
         try:
@@ -85,6 +86,8 @@ def test_engines_bit_identical_under_faults(label, scheme, build):
     for engine in CYCLE_ENGINES[1:]:
         assert outcomes[engine] == ref, (label, engine, outcomes)
         assert traces[engine] == traces["reference"], (label, engine)
+    for i, lane in enumerate(lane_runner_outcomes(plan, parts, faults)):
+        assert lane == ref, (label, f"batched lane {i}", lane, ref)
 
 
 def test_leap_compressed_trace_matches_dense_under_faults():

@@ -14,7 +14,7 @@ from repro.core.faults import (
 )
 from repro.simulator import execute_plan, verify_plan
 
-from tests.strategies import PLANS, plan_keys, plan_used_links
+from tests.strategies import PLANS, get_plan, plan_keys, plan_used_links
 
 
 def pick_tree_edge(plan, tree_index=0):
@@ -249,23 +249,63 @@ class TestFaultProperties:
 # --------------------------------------------------------- fault Monte Carlo
 
 
+def serial_monte_carlo(q, scheme="low-depth", m=8, k=1000, seed=0,
+                       num_faults=1, transient_fraction=0.5,
+                       down_window=(1, 20), outage_window=(2, 20)):
+    """The serial oracle of ``fault_monte_carlo``: the same sampled
+    schedules, each run alone on ``engine="fast"``, recorded as lane dicts.
+    Returns ``(clean_cycles, lanes)``."""
+    from repro.analysis.montecarlo import _sample_schedules
+    from repro.analysis.recovery import used_links
+    from repro.simulator import SimulationStalled, make_engine
+
+    plan = get_plan(q, scheme)
+    schedules = _sample_schedules(
+        used_links(plan), k, seed, num_faults, transient_fraction,
+        down_window, outage_window,
+    )
+    flits = (m,) * plan.num_trees
+    clean = make_engine("fast", plan.topology, plan.trees, flits).run().cycles
+    lanes = []
+    for sched in schedules:
+        rec = {"faults": [[list(e.edge), e.down, e.up] for e in sched.events]}
+        try:
+            stats = make_engine(
+                "fast", plan.topology, plan.trees, flits, faults=sched
+            ).run()
+        except SimulationStalled as e:
+            rec.update(stalled=True, stall_cycle=e.cycle, pending=list(e.pending))
+        else:
+            rec.update(stalled=False, cycles=stats.cycles,
+                       slowdown=stats.cycles / clean if clean else 0.0)
+        lanes.append(rec)
+    return clean, lanes
+
+
 class TestFaultMonteCarlo:
     """The batched ensemble entry point (repro.analysis.montecarlo)."""
 
     def test_batched_ensemble_bit_identical_to_serial(self):
         # the headline claim: a 1000-lane ensemble at q=7 routed through
-        # the batched engine reproduces the serial per-lane results
+        # the batched lane runner reproduces the serial per-lane results
         # exactly — every lane dict, the stall rate, every quantile
         from repro.analysis import fault_monte_carlo
 
         kw = dict(q=7, m=8, k=1000, seed=42, transient_fraction=0.5)
-        bat = fault_monte_carlo(engine="batched", **kw)
-        ser = fault_monte_carlo(engine="fast", **kw)
-        assert bat.lanes == ser.lanes
-        assert bat.stall_rate == ser.stall_rate
-        assert bat.slowdown_quantiles == ser.slowdown_quantiles
-        assert bat.mean_slowdown == ser.mean_slowdown
-        assert bat.clean_cycles == ser.clean_cycles
+        bat = fault_monte_carlo(**kw)
+        clean, lanes = serial_monte_carlo(**kw)
+        assert bat.clean_cycles == clean
+        assert list(bat.lanes) == lanes
+        stalled = sum(rec["stalled"] for rec in lanes)
+        slows = np.asarray([r["slowdown"] for r in lanes if not r["stalled"]])
+        assert bat.stall_rate == stalled / 1000
+        assert bat.slowdown_quantiles == {
+            "p50": float(np.quantile(slows, 0.5)),
+            "p90": float(np.quantile(slows, 0.9)),
+            "p99": float(np.quantile(slows, 0.99)),
+            "max": float(slows.max()),
+        }
+        assert bat.mean_slowdown == float(slows.mean())
 
     def test_deterministic_under_fixed_seed(self):
         from repro.analysis import fault_monte_carlo
@@ -294,8 +334,10 @@ class TestFaultMonteCarlo:
     def test_input_validation(self):
         from repro.analysis import fault_monte_carlo
 
-        with pytest.raises(ValueError, match="'batched' or 'fast'"):
-            fault_monte_carlo(7, k=4, engine="leap")
+        with pytest.raises(TypeError, match="engine"):
+            fault_monte_carlo(7, k=4, engine="fast")  # no evaluator knob
+        with pytest.raises(TypeError, match="integers"):
+            fault_monte_carlo(7, k=4, m=2.5)  # never truncated to m=2
         with pytest.raises(ValueError, match="k"):
             fault_monte_carlo(7, k=0)
         with pytest.raises(ValueError, match="num_faults"):

@@ -58,6 +58,26 @@ class TestFaultScheduleConstruction:
         fs = FaultSchedule([((0, 1), 10, 20)])
         assert {fs: 1}[FaultSchedule([((1, 0), 10, 20)])] == 1
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integral_cycles(self, bad):
+        # truncating 2.5 -> 2 (or True -> 1) would silently move the fault
+        with pytest.raises(TypeError, match="down cycle must be an integer"):
+            FaultSchedule([((1, 2), bad)])
+        with pytest.raises(TypeError, match="up cycle must be an integer"):
+            FaultSchedule([((1, 2), 1, bad)])
+        with pytest.raises(TypeError, match="down cycle must be an integer"):
+            FaultSchedule([FaultEvent((1, 2), bad)])
+        with pytest.raises(TypeError, match="integer"):
+            FaultSchedule.single((1, 2), bad)
+
+    def test_accepts_numpy_integer_cycles(self):
+        import numpy as np
+
+        sched = FaultSchedule([((1, 2), np.int64(3), np.int32(9))])
+        assert sched == FaultSchedule([((1, 2), 3, 9)])
+        (ev,) = sched.events
+        assert (type(ev.down), type(ev.up)) == (int, int)
+
     def test_empty_schedule_is_falsy(self):
         assert not FaultSchedule([])
 

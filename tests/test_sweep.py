@@ -260,6 +260,39 @@ class TestBatching:
         assert ref == fast  # engines agree; only the routing differs
 
 
+    def test_overridden_sim_point_task_is_never_batched(self, monkeypatch):
+        # a re-registered sim_point must run as registered, not be
+        # silently replaced by the built-in batched route
+        from repro.sweep.tasks import BUILTIN_TASKS
+
+        monkeypatch.setitem(
+            BUILTIN_TASKS, "sim_point", lambda **kw: ("override", kw["m"])
+        )
+        runner = SweepRunner(workers=0, cache=None)
+        out = runner.run([cell("sim_point", q=5, m=m) for m in (2, 4)])
+        assert out == [("override", 2), ("override", 4)]
+        assert runner.last_summary.batched == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"m": 2.5},
+            {"m": [True, 1, 1]},
+            {"link_capacity": 1.5},
+            {"buffer_size": 2.5},
+            {"faults": [[[0, 1], 2.5, None]]},
+        ],
+    )
+    def test_sim_point_knobs_are_validated_not_truncated(self, bad):
+        from repro.analysis import sim_point, sim_point_batch
+
+        kw = {"q": 3, "m": 2, **bad}
+        with pytest.raises(TypeError):
+            sim_point(**kw)
+        with pytest.raises(TypeError):
+            sim_point_batch([kw, dict(q=3, m=1)])
+
+
 # ----------------------------------------------------------------- artifacts
 
 
